@@ -8,7 +8,7 @@ import (
 
 // Continuation-form spawn trees: SpawnWorkers and SpawnGrouped restated as
 // resumable state machines over machine.CThread. Each machine performs the
-// IDENTICAL sequence of spawn/sync operations as its goroutine twin — same
+// IDENTICAL sequence of spawn/sync operations as its closure twin — same
 // tree shape, same spawn order, same explicit syncs — so a kernel ported to
 // the continuation engine produces a bit-identical event stream. The
 // recursive helpers (spawnRangeLocal and friends) become iterative drivers:
@@ -24,7 +24,7 @@ type contSpawner interface {
 
 // contCoord is the spawned-side coordinator shape shared by every strategy:
 // run a spawner over the delegated subrange, then an explicit sync — the
-// continuation of the goroutine closures `func(c) { spawnXxx(c, ...); c.Sync() }`.
+// continuation of the closures `func(c) { spawnXxx(c, ...); c.Sync() }`.
 type contCoord struct {
 	s      contSpawner
 	mk     func(int) machine.CBody
@@ -220,7 +220,7 @@ func (s *contGroups) drive(t *machine.CThread, mk func(int) machine.CBody) bool 
 // NewWorkers, then call Drive from the body's Step each time it is resumed.
 // Drive reports parked=true when the enclosing Step must return false; once
 // it reports parked=false the whole tree has been spawned AND joined, and
-// the body continues past it — exactly where the goroutine SpawnWorkers call
+// the body continues past it — exactly where the closure SpawnWorkers call
 // would have returned.
 type Workers struct {
 	nodelets, workers int

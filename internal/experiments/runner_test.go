@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"emuchick/internal/machine"
 	"emuchick/internal/report"
 )
 
@@ -130,6 +131,33 @@ func TestParallelForRecoversNonErrorPanics(t *testing.T) {
 	})
 	if !errors.As(err, &pe) || pe.Cell != 1 {
 		t.Fatalf("sequential guard: err = %v, want CellPanicError for cell 1", err)
+	}
+}
+
+// A panic in a machine.Thread closure body is raised on the simulated
+// thread's host, not in the cell function's own frames; it must still reach
+// the cell guard and come back as a CellPanicError rather than killing the
+// process.
+func TestParallelForRecoversThreadBodyPanics(t *testing.T) {
+	for _, parallel := range []int{1, 4} {
+		err := parallelFor(Options{Parallel: parallel}, 4, func(i int) error {
+			sys := machine.NewSystem(machine.HardwareChick())
+			_, err := sys.Run(func(th *machine.Thread) {
+				th.SpawnAt(1, func(c *machine.Thread) { c.Compute(1000) })
+				th.Compute(10)
+				if i == 2 {
+					panic("thread-kaboom")
+				}
+			})
+			return err
+		})
+		var pe *CellPanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("-parallel %d: err = %v (%T), want *CellPanicError", parallel, err, err)
+		}
+		if pe.Cell != 2 || pe.Value != any("thread-kaboom") {
+			t.Fatalf("-parallel %d: got cell %d value %v, want cell 2 value thread-kaboom", parallel, pe.Cell, pe.Value)
+		}
 	}
 }
 

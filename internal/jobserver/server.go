@@ -310,11 +310,13 @@ func New(cfg Config) (*Server, error) {
 			s.enqueueLocked(j)
 		}
 	}
+	// Read before the workers start: they decrement Queued under s.mu.
+	requeued := s.stats.Queued
 	for w := 0; w < cfg.Workers; w++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
-	s.logf("jobserver: %d workers, %d jobs loaded (%d re-enqueued)", cfg.Workers, len(recs), s.stats.Queued)
+	s.logf("jobserver: %d workers, %d jobs loaded (%d re-enqueued)", cfg.Workers, len(recs), requeued)
 	return s, nil
 }
 

@@ -9,15 +9,15 @@ import (
 
 // Continuation-form kernel bodies: the spawn-heavy kernels (STREAM,
 // pointer chase, ping-pong) restated as machine.CBody state machines with
-// operation sequences identical to their goroutine twins. A kernel run on
-// either engine produces the same simulated times, counters, traces, and
-// memory — the goroutine closures remain in the kernel files as the
+// operation sequences identical to their closure twins. A kernel run
+// either way produces the same simulated times, counters, traces, and
+// memory — the machine.Thread closures remain in the kernel files as the
 // reference the equivalence tests diff against.
 
 // timedRoot wraps a resumable spawn tree as a run's root body and records
 // the elapsed time from body start to the tree's final join — the same
 // measured region as `t0 := root.Now(); ...; res = root.Now() - t0` in the
-// goroutine roots.
+// closure roots.
 type timedRoot struct {
 	drive   func(t *machine.CThread) (parked bool)
 	out     *sim.Time
@@ -214,7 +214,7 @@ func (s *pingSpawner) drive(t *machine.CThread) bool {
 }
 
 // pingContRoot builds the continuation root body for one ping-pong run:
-// spawn every worker, explicit sync, record elapsed — the goroutine root's
+// spawn every worker, explicit sync, record elapsed — the closure root's
 // exact sequence.
 type pingContRoot struct {
 	sp      pingSpawner

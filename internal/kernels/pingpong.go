@@ -44,7 +44,7 @@ func PingPong(mcfg machine.Config, cfg PingPongConfig, opts ...RunOption) (PingP
 	}
 	var out PingPongResult
 	var err error
-	if rc.engine == GoroutineProcs {
+	if rc.engine == goroutineProcs {
 		_, err = sys.Run(func(root *machine.Thread) {
 			t0 := root.Now()
 			for k := 0; k < cfg.Threads; k++ {

@@ -126,7 +126,7 @@ func PointerChaseWithStats(mcfg machine.Config, cfg ChaseConfig, opts ...RunOpti
 	sums := make([]uint64, cfg.Threads)
 	var res metrics.Result
 	var err error
-	if rc.engine == GoroutineProcs {
+	if rc.engine == goroutineProcs {
 		_, err = sys.Run(func(root *machine.Thread) {
 			t0 := root.Now()
 			cilk.SpawnGrouped(root, groups, func(w *machine.Thread, k int) {

@@ -164,7 +164,7 @@ func Stream(mcfg machine.Config, cfg StreamConfig, opts ...RunOption) (metrics.R
 	loads, _ := cfg.Kernel.loadsStores()
 	var res metrics.Result
 	var err error
-	if rc.engine == GoroutineProcs {
+	if rc.engine == goroutineProcs {
 		_, err = sys.Run(func(root *machine.Thread) {
 			t0 := root.Now()
 			cilk.SpawnWorkers(root, cfg.Nodelets, cfg.Threads, cfg.Strategy, func(w *machine.Thread, id int) {

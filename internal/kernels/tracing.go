@@ -38,41 +38,31 @@ type runConfig struct {
 	ctx       context.Context
 	plan      *fault.Plan
 	maxEvents uint64
-	engine    ProcEngine
+	engine    procEngine
 }
 
-// ProcEngine selects how a kernel's simulated threadlets are hosted by the
-// event engine.
-type ProcEngine int
+// procEngine selects which implementation hosts a kernel's simulated
+// threadlets, for the kernels written both ways (STREAM, pointer chase,
+// ping-pong).
+type procEngine int
 
 const (
-	// ContinuationProcs (the default) hosts each threadlet as a resumable
-	// state machine the event loop steps in place — no goroutine, no
-	// channel handoff per context switch, and bounded bytes per threadlet,
-	// which is what makes rack-scale thread counts simulable.
-	ContinuationProcs ProcEngine = iota
-	// GoroutineProcs hosts each threadlet on its own goroutine, parking on
-	// a channel at every wait — the original engine, kept as a
-	// compatibility shim and as the independent reference implementation
-	// the equivalence tests diff the continuation engine against.
-	GoroutineProcs
+	// continuationProcs (the default) runs the CBody port: each threadlet
+	// is a resumable state machine the event loop steps in place, with
+	// bounded bytes per threadlet — what makes rack-scale thread counts
+	// simulable.
+	continuationProcs procEngine = iota
+	// goroutineProcs runs the straight-line machine.Thread body on a
+	// coroutine host. It is kept as the independent reference
+	// implementation the equivalence tests diff the continuation port
+	// against.
+	goroutineProcs
 )
 
-// String names the engine for reports and jobspec fingerprints.
-func (e ProcEngine) String() string {
-	if e == GoroutineProcs {
-		return "goroutine"
-	}
-	return "continuation"
-}
-
-// WithProcEngine selects the proc engine for kernels that have both
-// implementations (STREAM, pointer chase, ping-pong). The two engines are
-// byte-identical in simulated time, counters, and traces — this knob exists
-// for host-side performance comparison and for regression-testing the
-// equivalence, not to change results. Kernels without a continuation port
-// always use goroutine procs regardless of this option.
-func WithProcEngine(e ProcEngine) RunOption {
+// withProcEngine selects the implementation for kernels that have both.
+// The two are byte-identical in simulated time, counters, and traces; only
+// the kernels' own equivalence tests select goroutineProcs.
+func withProcEngine(e procEngine) RunOption {
 	return func(c *runConfig) { c.engine = e }
 }
 

@@ -223,7 +223,7 @@ func FullSpeed(nodes int) Config {
 // the given number of chassis, each an 8-node (64-nodelet) Fig. 11 system,
 // joined by a top-of-rack fabric tier. A full rack is millions of hardware
 // thread contexts (chassis × 64 nodelets × 1024 contexts), which is only
-// tractable to simulate on the continuation proc engine — a goroutine per
+// tractable to simulate on the continuation proc engine — a coroutine stack per
 // resident threadlet would exhaust the host long before the model does.
 // FullSpeedRack(1) differs from FullSpeed(8) only in naming the chassis
 // tier explicitly; no transfer crosses a chassis, so timings are identical.

@@ -11,11 +11,12 @@ import (
 
 // CThread is the continuation-form Gossamer threadlet: the same machine
 // model as Thread, expressed as an explicit state machine the event loop
-// resumes by a method call instead of a goroutine it hands a channel token
-// to. A CThread plus its sim.Proc is the entire saved context of a parked
-// threadlet — a couple of hundred bytes, like the <200 B register file the
-// hardware swaps in and out — which is what makes rack-scale configurations
-// (millions of resident contexts) simulable.
+// resumes by a method call instead of a coroutine host that switches back
+// to the loop at every blocking op. A CThread plus its sim.Proc is the
+// entire saved context of a parked threadlet — a couple of hundred bytes,
+// like the <200 B register file the hardware swaps in and out — which is
+// what makes rack-scale configurations (millions of resident contexts)
+// simulable.
 //
 // Every operation mirrors its Thread counterpart op for op: the same
 // resource acquisitions in the same order at the same times, counters
@@ -61,7 +62,7 @@ type CThread struct {
 }
 
 // CBody is the body of a continuation-form threadlet: the state-machine
-// analogue of the func(*Thread) a goroutine thread runs. Step resumes the
+// analogue of the func(*Thread) a coroutine-hosted Thread runs. Step resumes the
 // body with no micro-op pending; it returns true when the body has run to
 // completion, or false after a CThread operation reported parked=true.
 type CBody interface {

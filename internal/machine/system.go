@@ -167,8 +167,8 @@ func (s *System) Run(root func(*Thread)) (sim.Time, error) {
 
 // RunCont executes root as the initial continuation threadlet on nodelet 0.
 // It is Run for the continuation proc engine: the same begin/finish
-// bookkeeping, the same main-thread spawn accounting, but no goroutine is
-// created for this or any descendant threadlet — the event loop resumes
+// bookkeeping, the same main-thread spawn accounting, but no coroutine host
+// is created for this or any descendant threadlet — the event loop resumes
 // each CThread's state machine in place.
 func (s *System) RunCont(root CBody) (sim.Time, error) {
 	start := s.beginRun()

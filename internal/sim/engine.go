@@ -49,7 +49,7 @@ func (ln *lane) empty() bool { return ln.head == len(ln.evs) }
 
 // Engine is a sequential discrete-event simulator. It is not safe for
 // concurrent use; all interaction must happen from the goroutine that calls
-// Run, or from a Proc while that Proc holds the control token.
+// Run, or from a Proc body while the event loop is dispatching it.
 //
 // The pending-event queue has two parts:
 //
@@ -82,28 +82,14 @@ type Engine struct {
 	lanes   [numLanes]lane
 	pending int // events scheduled but not yet fired, across heap and lanes
 
-	// done carries the run's outcome from whichever goroutine drains the
-	// queue (or trips a valve) back to the Run caller. Buffered so the
-	// sender never blocks.
-	done chan error
-
 	procs int     // live (spawned, not finished) procs
 	all   []*Proc // every registered Proc, for failure dumps (see register)
 
-	// free holds finished Procs whose goroutines are parked in procLoop,
-	// ready to be recycled by the next spawn; stop, captured by each pooled
-	// goroutine at creation, is closed when Run ends so the pool drains.
-	// freeCont is the separate pool for continuation procs, which have no
-	// goroutine or channel to keep alive.
-	free     []*Proc
-	freeCont []*Proc
-	stop     chan struct{}
-
-	// aborted is set during failed-run teardown while live goroutine procs
-	// are being released (see abortParked); each one acknowledges on
-	// abortAck as its host goroutine unwinds.
-	aborted  bool
-	abortAck chan struct{}
+	// free holds finished Procs, ready to be recycled by the next spawn of
+	// either kind. hosts holds every coroutine host created this run, for
+	// teardown to stop.
+	free  []*Proc
+	hosts []*coHost
 
 	fired     uint64 // events dispatched so far
 	MaxEvents uint64 // safety valve; 0 means no limit
@@ -312,18 +298,18 @@ func (e *Engine) next() event {
 	return bestEv
 }
 
-// fastForward is the uncontended-wait fast path behind Proc.WaitUntil: the
-// calling Proc holds the control token and wants to sleep until t. If every
-// pending event fires strictly after t, the dispatch event WaitUntil would
-// schedule — claiming the next seq, at time t — would by construction be
-// the very next event advance pops (any pending event at exactly t holds a
-// smaller seq and would fire first, hence the strict comparison). In that
-// case the schedule/pop round trip and the token hand-back are pure
-// overhead: the engine instead claims the seq and the firing directly and
-// hops the clock to t, leaving (now, seq, fired) — and therefore every
-// subsequent event ordering — bit-identical to the slow path. Runs with a
-// safety valve or interrupt hook in a state the event loop would act on
-// decline the fast path so failure behaviour is byte-for-byte unchanged.
+// fastForward is the uncontended-wait fast path behind Proc.SleepUntil: the
+// running Proc wants to sleep until t. If every pending event fires strictly
+// after t, the dispatch event the sleep would schedule — claiming the next
+// seq, at time t — would by construction be the very next event the loop
+// pops (any pending event at exactly t holds a smaller seq and would fire
+// first, hence the strict comparison). In that case the schedule/pop round
+// trip is pure overhead: the engine instead claims the seq and the firing
+// directly and hops the clock to t, leaving (now, seq, fired) — and
+// therefore every subsequent event ordering — bit-identical to the slow
+// path. Runs with a safety valve or interrupt hook in a state the event
+// loop would act on decline the fast path so failure behaviour is
+// byte-for-byte unchanged.
 //
 //emu:hotpath the no-contention wait: a clock hop instead of a queue round trip
 func (e *Engine) fastForward(t Time) bool {
@@ -355,34 +341,33 @@ func (e *Engine) fastForward(t Time) bool {
 // safety valve trips or if processes are still live when the event queue
 // drains (a deadlock: some Proc parked forever).
 //
-// The event loop itself is not pinned to this goroutine: it migrates with
-// the control token. When a Proc yields, its goroutine runs the loop until
-// the token moves on — so a proc-to-proc context switch is one direct
-// channel handoff, and a Proc whose own wake-up is the next event continues
-// without any handoff at all.
-// Run may be called again on the same engine after it returns: teardown
-// leaves the engine in a clean reusable state whether the run succeeded or
-// failed (the clock, seq counter, and fired count stay monotonic across
-// runs — simulated time never rewinds).
+// The event loop runs on the calling goroutine only: every dispatch, of a
+// continuation body or of a Runner body's coroutine host, is a call made
+// from here, so a panic in any body comes out of Run.
+// Run may be called again on the same engine after it returns or panics:
+// teardown leaves the engine in a clean reusable state whether the run
+// succeeded or not (the clock, seq counter, and fired count stay monotonic
+// across runs — simulated time never rewinds).
 func (e *Engine) Run() error {
-	e.done = make(chan error, 1)
-	e.advance(nil)
-	err := <-e.done
-	e.teardown(err != nil)
+	ok := false
+	defer func() { e.teardown(!ok) }()
+	err := e.loop()
+	ok = err == nil
 	return err
 }
 
-// teardown retires the proc pools after a run. After a failed run it first
-// releases every proc still parked mid-body — historically those goroutines
-// stayed blocked on their resume channels forever, a leak that accumulated
-// in long-lived job servers as watchdog-killed, cancelled, and deadlocked
-// runs piled up — and then clears the scheduling state (un-fired events,
-// live-proc count, failure registry) the failure left behind, so reusing
-// the engine cannot silently misbehave. Closing stop lets the freelisted
-// goroutines, all parked in procLoop's select, exit.
+// teardown retires the proc pools after a run. It first stops every
+// coroutine host: a host parked mid-body unwinds its body, and an idle one
+// returns, so no host goroutine outlives the run. After a failed run it then
+// clears the scheduling state (un-fired events, live-proc count, failure
+// registry) the failure left behind, so reusing the engine cannot silently
+// misbehave.
 func (e *Engine) teardown(failed bool) {
+	for _, h := range e.hosts {
+		h.stop()
+	}
+	e.hosts = nil
 	if failed {
-		e.abortParked()
 		e.heap = e.heap[:0]
 		for i := range e.lanes {
 			ln := &e.lanes[i]
@@ -392,12 +377,7 @@ func (e *Engine) teardown(failed bool) {
 		e.pending = 0
 		e.procs = 0
 	}
-	if e.stop != nil {
-		close(e.stop)
-		e.stop = nil
-	}
 	e.free = nil
-	e.freeCont = nil
 	for i := range e.all {
 		e.all[i].registered = false
 		e.all[i] = nil
@@ -405,66 +385,24 @@ func (e *Engine) teardown(failed bool) {
 	e.all = e.all[:0]
 }
 
-// abortParked wakes every goroutine proc still parked mid-body and unwinds
-// it: the proc's next resume observes e.aborted and panics with an abort
-// sentinel that procLoop recovers, acknowledging on abortAck before its
-// goroutine exits. The unbuffered resume send doubles as the rendezvous — it
-// completes only once the target goroutine has actually reached its receive,
-// so a proc whose goroutine was still between "scheduled" and "parked"
-// cannot be missed. Continuation procs have no goroutine to release; they
-// are simply dropped with the rest of the engine state.
-func (e *Engine) abortParked() {
-	waking := 0
-	for _, p := range e.all {
-		if !p.done && p.resume != nil {
-			waking++
-		}
-	}
-	if waking == 0 {
-		return
-	}
-	e.aborted = true
-	e.abortAck = make(chan struct{}, waking)
-	for _, p := range e.all {
-		if !p.done && p.resume != nil {
-			p.resume <- struct{}{}
-		}
-	}
-	for i := 0; i < waking; i++ {
-		<-e.abortAck
-	}
-	e.aborted = false
-	e.abortAck = nil
-}
-
-// advance runs the event loop on the calling goroutine. self is the Proc
-// the caller is running as (nil for the Run goroutine, or a just-finished
-// Proc whose done flag is set). It returns true when the popped event
-// re-dispatches self, in which case the caller simply keeps executing.
-// Otherwise the token was handed to another Proc, or the run ended and its
-// outcome was sent on e.done; either way the caller no longer holds the
-// token and must block on its resume channel (a parked Proc) or return (the
-// Run goroutine, a finished Proc).
+// loop is the event loop: it pops events in (at, seq) order and fires
+// them until the queue drains or a valve trips.
 //
 //emu:hotpath the event loop itself; failure exits allocate via e.failure, which is fine — they end the run
-func (e *Engine) advance(self *Proc) bool {
+func (e *Engine) loop() error {
 	for {
-		if e.Pending() == 0 {
+		if e.pending == 0 {
 			if e.procs > 0 {
-				e.done <- e.failure(FailDeadlock, nil)
-			} else {
-				e.done <- nil
+				return e.failure(FailDeadlock, nil)
 			}
-			return false
+			return nil
 		}
 		if e.MaxEvents > 0 && e.fired >= e.MaxEvents {
-			e.done <- e.failure(FailMaxEvents, nil)
-			return false
+			return e.failure(FailMaxEvents, nil)
 		}
 		if e.Interrupt != nil && e.fired&1023 == 0 {
 			if err := e.Interrupt(); err != nil {
-				e.done <- e.failure(FailInterrupted, err)
-				return false
+				return e.failure(FailInterrupted, err)
 			}
 		}
 		ev := e.next()
@@ -472,8 +410,7 @@ func (e *Engine) advance(self *Proc) bool {
 			panic("sim: time went backwards")
 		}
 		if e.MaxTime > 0 && ev.at > e.MaxTime {
-			e.done <- e.failure(FailMaxTime, nil)
-			return false
+			return e.failure(FailMaxTime, nil)
 		}
 		e.now = ev.at
 		e.fired++
@@ -492,17 +429,6 @@ func (e *Engine) advance(self *Proc) bool {
 			panic("sim: dispatching finished proc " + ev.proc.name)
 		}
 		ev.proc.hasWake = false
-		if s := ev.proc.stepper; s != nil {
-			// Continuation dispatch: resume the state machine in place — a
-			// method call, not a handoff. The token never leaves this
-			// goroutine, so the loop just continues.
-			s.StepProc(ev.proc)
-			continue
-		}
-		if ev.proc == self {
-			return true
-		}
-		ev.proc.resume <- struct{}{}
-		return false
+		ev.proc.stepper.StepProc(ev.proc)
 	}
 }

@@ -1,33 +1,25 @@
 package sim
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
-// with the engine through a control token so that exactly one of (engine,
-// some Proc) runs at any moment. While a Proc holds the token it may freely
-// read and mutate engine-owned state (resources, counters, other model
-// structures) without locks; when it performs a blocking operation it runs
-// the engine's event loop itself until the token moves to the next runnable
-// party (see Engine.advance) and is re-dispatched by a scheduled event.
+// Proc is a simulated process. Exactly one of (event loop, some Proc) runs
+// at any moment, so while a Proc runs it may freely read and mutate
+// engine-owned state (resources, counters, other model structures) without
+// locks. The event loop resumes a Proc by calling its Stepper, once per
+// dispatch, on Run's goroutine. The Stepper is either a continuation body
+// (see cont.go), which returns when it parks, or the Proc's coroutine host
+// (see host.go), which runs a straight-line Runner body and switches back to
+// the loop at each blocking call.
 //
-// This is cooperative coroutine scheduling over goroutines — the idiomatic
-// Go way to express a process-oriented discrete-event simulation while
-// keeping the model code in straight-line style.
-//
-// Procs are pooled: when a body returns, the Proc (and its goroutine, with
-// its grown stack) parks on the engine's freelist and is recycled by the
-// next spawn. Spawn-heavy kernels — the paper's fine-grained Cilk trees —
-// therefore create goroutines only up to the peak live count, not once per
-// simulated thread.
-// A Proc can instead be continuation-hosted (see cont.go): spawned with
-// SpawnContAt/LaunchContAt it has no goroutine and a nil resume channel, and
-// the event loop resumes it by calling its Stepper directly. The struct
-// below is the entire park state of such a proc — on 64-bit it is under
-// 200 bytes including its registry and event-queue footprint, which is what
-// makes millions of concurrently parked threadlets tractable.
+// Procs are pooled on one freelist: a finished Proc, with its host if it has
+// one, is recycled by the next spawn of either kind. Spawn-heavy kernels —
+// the paper's fine-grained Cilk trees — therefore create Procs and hosts
+// only up to the peak live count, not once per simulated thread. The struct
+// below is the entire park state of a continuation proc — on 64-bit it is
+// under 200 bytes including its registry and event-queue footprint, which
+// is what makes millions of concurrently parked threadlets tractable.
 type Proc struct {
 	eng     *Engine
-	resume  chan struct{}
-	runner  Runner
-	stepper Stepper // non-nil exactly for continuation-hosted procs
+	stepper Stepper // resumed on every dispatch
+	host    *coHost // runs Runner bodies; nil until the Proc first hosts one
 	name    string
 	done    bool
 
@@ -38,7 +30,7 @@ type Proc struct {
 	// Failure-dump bookkeeping, maintained on the park/wake paths with plain
 	// field stores (no allocation, no formatting) so the hot path stays free.
 	site     string // where the Proc last parked: "start", "wait", "join", a semaphore name, ...
-	parkedAt Time   // when the Proc last gave up the control token
+	parkedAt Time   // when the Proc last gave up control
 	wakeAt   Time   // pending dispatch time; valid only while hasWake
 	hasWake  bool
 }
@@ -51,7 +43,7 @@ type Runner interface {
 }
 
 // funcRunner adapts a plain function to Runner. Func values are
-// pointer-shaped, so storing one in the runner field does not allocate.
+// pointer-shaped, so storing one as a host's body does not allocate.
 type funcRunner func(*Proc)
 
 func (f funcRunner) RunProc(p *Proc) { f(p) }
@@ -84,12 +76,7 @@ func (e *Engine) GoAt(t Time, name string, fn func(*Proc)) *Proc {
 //emu:hotpath the pooled spawn path, allocation-free on a pool hit
 func (e *Engine) SpawnAt(t Time, name string, r Runner) *Proc {
 	p := e.acquireProc(name)
-	p.runner = r
-	e.procs++
-	if !p.registered {
-		e.register(p)
-		p.registered = true
-	}
+	e.hostRunner(p, r)
 	e.scheduleProc(t, p)
 	return p
 }
@@ -105,29 +92,32 @@ func (e *Engine) SpawnAt(t Time, name string, r Runner) *Proc {
 //emu:hotpath the deferred spawn path (machine spawnOn), allocation-free on a pool hit
 func (e *Engine) LaunchAt(t Time, name string, r Runner) *Proc {
 	p := e.acquireProc(name)
-	p.runner = r
-	e.procs++
-	if !p.registered {
-		e.register(p)
-		p.registered = true
-	}
+	e.hostRunner(p, r)
+	e.launch(t, p)
+	return p
+}
+
+// launch schedules p's launch event at t (see LaunchAt).
+//
+//emu:hotpath
+func (e *Engine) launch(t Time, p *Proc) {
 	p.wakeAt = t
 	p.hasWake = true
 	e.schedule(t, event{fn: launchMark, proc: p})
-	return p
 }
 
 // launchMark distinguishes a launch event (fn and proc both set) from a
 // dispatch (proc only). It is never called.
 var launchMark = func() {}
 
-// acquireProc pops a finished Proc from the freelist — its goroutine is
-// parked in procLoop awaiting recycling — or creates a fresh one.
+// acquireProc pops a finished Proc from the freelist, or creates a fresh
+// one, and counts and registers it as live. The caller installs its Stepper.
 //
 //emu:hotpath pool hit is the steady state; the miss path is factored into newProc
 func (e *Engine) acquireProc(name string) *Proc {
+	var p *Proc
 	if n := len(e.free); n > 0 {
-		p := e.free[n-1]
+		p = e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 		p.done = false
@@ -135,113 +125,33 @@ func (e *Engine) acquireProc(name string) *Proc {
 		p.site = "start"
 		p.parkedAt = e.now
 		p.hasWake = false
-		return p
+	} else {
+		p = e.newProc(name)
 	}
-	return e.newProc(name)
-}
-
-// newProc allocates a Proc and starts its pooled host goroutine.
-//
-//emu:cold pool miss: runs once per pool-high-water proc, amortized away in steady state
-func (e *Engine) newProc(name string) *Proc {
-	if e.stop == nil {
-		e.stop = make(chan struct{})
+	e.procs++
+	if !p.registered {
+		e.register(p)
+		p.registered = true
 	}
-	p := &Proc{eng: e, resume: make(chan struct{}), name: name, site: "start", parkedAt: e.now}
-	go e.procLoop(p, e.stop)
 	return p
 }
 
-// procLoop is the host goroutine of one pooled Proc. It waits for the
-// process's first dispatch, runs the current body, then returns the Proc to
-// the engine's freelist and parks until recycled — keeping the goroutine and
-// its grown stack across simulated thread lifetimes. advance returning true
-// means the freelisted Proc was already respawned and its new first dispatch
-// fired while this goroutine still drove the event loop: the next body starts
-// directly, with no channel handoff at all.
+// newProc allocates a Proc.
 //
-// stop is captured at creation: closing it (end of Run) releases every
-// pooled goroutine. Procs parked mid-body when a run fails are woken by the
-// teardown with e.aborted set: the resume panics with procAborted, the
-// recover below catches it, and the goroutine acknowledges and exits instead
-// of leaking on its resume channel.
-func (e *Engine) procLoop(p *Proc, stop <-chan struct{}) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(procAborted); ok {
-				e.abortAck <- struct{}{}
-				return
-			}
-			panic(r)
-		}
-	}()
-	redispatched := false
-	for {
-		if !redispatched {
-			select {
-			case <-p.resume:
-				if e.aborted {
-					// Spawned but never dispatched when the run failed: the
-					// body must not start during teardown.
-					e.abortAck <- struct{}{}
-					return
-				}
-			case <-stop:
-				return
-			}
-		}
-		p.runner.RunProc(p)
-		p.done = true
-		e.procs--
-		// The token is still held here, so the freelist push is ordinary
-		// engine-owned state mutation, race-free by the token discipline.
-		e.free = append(e.free, p)
-		redispatched = e.advance(p)
-	}
+//emu:cold pool miss: runs once per pool-high-water proc, amortized away in steady state
+func (e *Engine) newProc(name string) *Proc {
+	return &Proc{eng: e, name: name, site: "start", parkedAt: e.now}
 }
 
-// procAborted is the panic sentinel that unwinds a parked proc's goroutine
-// through its body frames during failed-run teardown.
-type procAborted struct{}
-
-// yield gives up the control token: the Proc drives the engine loop until
-// the token moves on, then blocks until re-dispatched. If this Proc's own
-// wake-up is the next event, it continues immediately with no handoff. The
-// caller must already have arranged for a future dispatch (a scheduled
-// event or a registered waiter), otherwise the engine will report a
-// deadlock.
-//
-//emu:hotpath a context switch is one channel handoff, nothing more
-func (p *Proc) yield() {
-	p.parkedAt = p.eng.now
-	if p.eng.advance(p) {
-		return
-	}
-	<-p.resume
-	if p.eng.aborted {
-		panic(procAborted{})
-	}
-}
-
-// WaitUntil suspends the Proc until absolute simulated time t. Waiting for a
-// time not after now returns immediately without yielding. When every
-// pending event fires strictly after t, the dispatch this wait would
-// schedule is provably the event the loop would pop next — the engine
-// fast-forwards the clock in place instead of running the queue round trip
-// (see Engine.fastForward).
+// WaitUntil suspends the Proc until absolute simulated time t: SleepUntil,
+// then a switch back to the event loop if the wait did not complete in
+// place.
 //
 //emu:hotpath
 func (p *Proc) WaitUntil(t Time) {
-	e := p.eng
-	if t <= e.now {
-		return
+	if p.SleepUntil(t) {
+		p.ParkReason("wait")
 	}
-	if e.fastForward(t) {
-		return
-	}
-	p.site = "wait"
-	e.scheduleProc(t, p)
-	p.yield()
 }
 
 // Delay suspends the Proc for duration d.
@@ -270,6 +180,7 @@ func (p *Proc) Park() { p.ParkReason("park") }
 //emu:hotpath the park half of every context switch
 func (p *Proc) ParkReason(site string) {
 	p.site = site
+	p.parkedAt = p.eng.now
 	p.yield()
 }
 

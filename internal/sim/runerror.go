@@ -37,13 +37,13 @@ func (k FailureKind) String() string {
 }
 
 // ParkedProc is the state of one live Proc at the moment a run failed: where
-// it parked, when it last gave up the control token, and its scheduled
-// wake-up if one was pending. At a deadlock no parked proc has a wake-up —
+// it parked, when it last gave up control, and its scheduled wake-up if one
+// was pending. At a deadlock no parked proc has a wake-up —
 // that is what makes it a deadlock.
 type ParkedProc struct {
 	Name     string
 	Site     string // park site: "wait", "join", a semaphore name, ...
-	ParkedAt Time   // when the proc last yielded the control token
+	ParkedAt Time   // when the proc last gave up control
 	WakeAt   Time   // scheduled wake-up time; only valid when HasWake
 	HasWake  bool   // whether a dispatch event for this proc was pending
 }

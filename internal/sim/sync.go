@@ -31,26 +31,21 @@ func NewSemaphore(eng *Engine, name string, capacity int) *Semaphore {
 	return &Semaphore{eng: eng, name: name, capacity: capacity}
 }
 
-// Acquire takes one slot, blocking p until one is available.
+// Acquire takes one slot, blocking p until one is available: AcquireCont,
+// then a switch back to the event loop if p joined the waiter queue.
 //
 //emu:hotpath every spawn and inbound migration acquires a context slot
 func (s *Semaphore) Acquire(p *Proc) {
-	if s.inUse < s.capacity {
-		s.take()
-		return
+	if s.AcquireCont(p) {
+		p.ParkReason(s.name)
 	}
-	s.waiters = append(s.waiters, p)
-	p.ParkReason(s.name)
-	// The releaser transferred its slot to us and woke us; the count was
-	// already adjusted in Release.
 }
 
 // AcquireCont is Acquire for continuation procs: parked=false means the
 // slot was taken in place and the body continues; parked=true means p joined
 // the FIFO waiter queue (recorded as its park site) and StepProc must
 // return — the releaser transfers its slot and schedules p's next dispatch,
-// with the count already adjusted, exactly as for a goroutine waiter. The
-// two kinds of waiter mix freely in one queue.
+// with the count already adjusted.
 //
 //emu:hotpath every continuation spawn and inbound migration acquires a context slot
 func (s *Semaphore) AcquireCont(p *Proc) (parked bool) {
@@ -164,18 +159,15 @@ func (j *Join) Done() {
 // Pending reports the number of completions still outstanding.
 func (j *Join) Pending() int { return j.remaining }
 
-// Wait blocks p until the count reaches zero. At most one Proc may wait.
+// Wait blocks p until the count reaches zero: WaitCont, then a switch back
+// to the event loop if p registered as the waiter. At most one Proc may
+// wait.
 //
 //emu:hotpath
 func (j *Join) Wait(p *Proc) {
-	if j.remaining == 0 {
-		return
+	if j.WaitCont(p) {
+		p.ParkReason("join")
 	}
-	if j.waiter != nil {
-		panic("sim: join already has a waiter")
-	}
-	j.waiter = p
-	p.ParkReason("join")
 }
 
 // WaitCont is Wait for continuation procs: parked=false means the count was

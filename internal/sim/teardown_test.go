@@ -58,12 +58,35 @@ func failInterrupted() *Engine {
 	return e
 }
 
+// bodyPanic is the value failPanic's body panics with.
+type bodyPanic struct{ n int }
+
+// failPanic builds an engine whose third body panics while the other two
+// are parked mid-body (one forever, one on a pending wake-up).
+func failPanic() *Engine {
+	e := NewEngine()
+	e.Go("parked", func(p *Proc) { p.ParkReason("never") })
+	e.Go("sleeper", func(p *Proc) { p.Delay(100) })
+	e.Go("panicker", func(p *Proc) {
+		p.Delay(1)
+		panic(bodyPanic{7})
+	})
+	return e
+}
+
+// runRecovering runs e and returns the value a panic carried out of Run.
+func runRecovering(e *Engine) (recovered any) {
+	defer func() { recovered = recover() }()
+	e.Run()
+	return nil
+}
+
 // TestFailedRunsReleaseParkedGoroutines is the leak regression test: across
-// many failing runs of every failure kind, the process goroutine count must
-// return to its baseline. Before the teardown fix, every proc parked
-// mid-body when a run failed stayed blocked on its resume channel forever —
-// in a long-lived job server those leaked goroutines accumulated with every
-// watchdog-killed, cancelled, or deadlocked job.
+// many failing runs of every failure kind, including a body panic, the
+// process goroutine count must return to its baseline. Every proc parked
+// mid-body when a run fails holds a host goroutine; if teardown did not
+// release it, a long-lived job server would accumulate one with every
+// watchdog-killed, cancelled, deadlocked, or panicked job.
 func TestFailedRunsReleaseParkedGoroutines(t *testing.T) {
 	// Let goroutines from other tests settle before taking the baseline.
 	runtime.GC()
@@ -78,6 +101,20 @@ func TestFailedRunsReleaseParkedGoroutines(t *testing.T) {
 			if err := e.Run(); err == nil {
 				t.Fatal("expected the run to fail")
 			}
+		}
+		// A panicking body must surface from Run on this goroutine — not
+		// crash the process from a proc host — and leave the engine
+		// reusable.
+		e := failPanic()
+		if r := runRecovering(e); r != (bodyPanic{7}) {
+			t.Fatalf("Run recovered %v, want the body's panic value", r)
+		}
+		if e.LiveProcs() != 0 || e.Pending() != 0 {
+			t.Fatalf("engine not clean after a body panic: procs=%d pending=%d", e.LiveProcs(), e.Pending())
+		}
+		e.Go("ok", func(p *Proc) { p.Delay(1) })
+		if err := e.Run(); err != nil {
+			t.Fatalf("reused engine failed a clean run after a body panic: %v", err)
 		}
 	}
 
