@@ -36,13 +36,14 @@ bench:
 # Benchmark iterations for archives and the gate; the archived baselines in
 # the repo were recorded with 5 (see DESIGN.md §13).
 BENCH_ITERS ?= 5
-# The baseline the gate diffs against: BENCH_engine4.json is the newest
-# archive (one proc host: closure bodies on coroutines behind the Stepper
-# dispatch path); BENCH_engine3.json (continuation engine beside the
-# goroutine shim), BENCH_engine2.json (post-optimization goroutine engine)
-# and BENCH_engine.json (pre-optimization) are kept so the trajectory stays
-# visible.
-BENCH_BASELINE ?= BENCH_engine4.json
+# The baseline the gate diffs against: BENCH_engine5.json is the newest
+# archive (every Xeon-model worker a continuation proc, recency-ordered
+# cache sets); BENCH_engine4.json (one proc host: closure bodies on
+# coroutines behind the Stepper dispatch path), BENCH_engine3.json
+# (continuation engine beside the goroutine shim), BENCH_engine2.json
+# (post-optimization goroutine engine) and BENCH_engine.json
+# (pre-optimization) are kept so the trajectory stays visible.
+BENCH_BASELINE ?= BENCH_engine5.json
 
 # The gated benchmark set: the per-figure benchmarks plus the
 # threadlet-scale stress run (10^6 continuation procs with a hard
@@ -73,8 +74,8 @@ bench-gate:
 	$(GO) test -run '^$$' -bench '$(BENCH_GATED)' -benchtime 1x -count $(BENCH_ITERS) . | $(GO) run ./cmd/benchjson -compare $(BENCH_BASELINE) -tolerance $(BENCH_TOLERANCE)
 
 # Race-detector pass over every package that shares state across
-# goroutines: the event engine, the closure-bodied machine and Xeon
-# models (their thread bodies switch through runtime coroutines), the
+# goroutines: the event engine, the closure-bodied machine model and the
+# Xeon model's Run roots (they switch through runtime coroutines), the
 # parallel experiment runner, the job server (worker pool + admission
 # control), the chaos harness, the crash-faulting store, and the trace
 # pipeline.

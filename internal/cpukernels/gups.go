@@ -35,23 +35,8 @@ func GUPS(ccfg xeon.Config, cfg GUPSConfig) (metrics.Result, error) {
 		want[idx]++
 	}
 
-	var res metrics.Result
-	_, err := sys.Run(func(root *xeon.CPUThread) {
-		t0 := root.Now()
-		spawnTree(root, 0, cfg.Threads, func(th *xeon.CPUThread, w int) {
-			lo, hi := share(cfg.Updates, w, cfg.Threads)
-			for j := lo; j < hi; j++ {
-				idx := stream[j]
-				addr := base + int64(idx)*8
-				th.Read(addr, 8)
-				table[idx]++ // single functional writer per run; timing below
-				th.Write(addr, 8)
-				th.Compute(2)
-			}
-		})
-		root.Sync()
-		res.Elapsed = root.Now() - t0
-	})
+	run := &gupsRun{base: base, stream: stream, table: table, updates: cfg.Updates, threads: cfg.Threads}
+	elapsed, err := runWorkers(sys, cfg.Threads, run)
 	if err != nil {
 		return metrics.Result{}, err
 	}
@@ -60,6 +45,57 @@ func GUPS(ccfg xeon.Config, cfg GUPSConfig) (metrics.Result, error) {
 			return metrics.Result{}, fmt.Errorf("cpukernels: GUPS slot %d = %d, want %d", i, table[i], want[i])
 		}
 	}
-	res.Bytes = int64(cfg.Updates) * 8
-	return res, nil
+	return metrics.Result{Elapsed: elapsed, Bytes: int64(cfg.Updates) * 8}, nil
+}
+
+// gupsRun is one GUPS run's table and update stream.
+type gupsRun struct {
+	base             int64
+	stream           []int
+	table            []uint64
+	updates, threads int
+}
+
+func (r *gupsRun) worker(w int) xeon.CPUBody {
+	lo, hi := share(r.updates, w, r.threads)
+	return &gupsWorker{run: r, j: lo, hi: hi}
+}
+
+// gupsWorker applies updates [j, hi) of the stream: read the slot, bump it,
+// write it back, two cycles of work.
+type gupsWorker struct {
+	run   *gupsRun
+	j, hi int
+	pc    uint8
+}
+
+//emu:nohandoff
+func (w *gupsWorker) Step(t *xeon.CPUThread) bool {
+	r := w.run
+	for ; w.j < w.hi; w.j++ {
+		idx := r.stream[w.j]
+		addr := r.base + int64(idx)*8
+		switch w.pc {
+		case 0:
+			w.pc = 1
+			if t.CRead(addr, 8) {
+				return false
+			}
+			fallthrough
+		case 1:
+			r.table[idx]++ // single functional writer per run; timing below
+			w.pc = 2
+			if t.CWrite(addr, 8) {
+				return false
+			}
+			fallthrough
+		case 2:
+			w.pc = 3
+			if t.CCompute(2) {
+				return false
+			}
+		}
+		w.pc = 0
+	}
+	return true
 }

@@ -71,42 +71,79 @@ func PointerChaseWithStats(ccfg xeon.Config, cfg ChaseConfig) (metrics.Result, C
 		}
 	}
 
-	sums := make([]uint64, cfg.Threads)
-	var res metrics.Result
-	_, err := sys.Run(func(root *xeon.CPUThread) {
-		t0 := root.Now()
-		spawnTree(root, 0, cfg.Threads, func(th *xeon.CPUThread, k int) {
-			if counts[k] == 0 {
-				return
-			}
-			p := starts[k]
-			var sum uint64
-			for {
-				th.Read(base+int64(p)*16, 16)
-				sum += payload[p]
-				th.Compute(4)
-				if next[p] < 0 {
-					break
-				}
-				p = int(next[p])
-			}
-			sums[k] = sum
-		})
-		root.Sync()
-		res.Elapsed = root.Now() - t0
-	})
+	run := &chaseRun{base: base, payload: payload, next: next, starts: starts, counts: counts,
+		sums: make([]uint64, cfg.Threads)}
+	elapsed, err := runWorkers(sys, cfg.Threads, run)
 	if err != nil {
 		return metrics.Result{}, ChaseStats{}, err
 	}
-	for k := range sums {
-		if sums[k] != expect[k] {
-			return metrics.Result{}, ChaseStats{}, fmt.Errorf("cpukernels: chase thread %d sum %d, want %d", k, sums[k], expect[k])
+	for k, sum := range run.sums {
+		if sum != expect[k] {
+			return metrics.Result{}, ChaseStats{}, fmt.Errorf("cpukernels: chase thread %d sum %d, want %d", k, sum, expect[k])
 		}
 	}
-	res.Bytes = int64(n) * 16
 	stats := ChaseStats{
 		DRAMLineBytes:  int64(sys.DRAMLines) * int64(ccfg.LineBytes),
 		WritebackBytes: int64(sys.WritebackLines) * int64(ccfg.LineBytes),
 	}
-	return res, stats, nil
+	return metrics.Result{Elapsed: elapsed, Bytes: int64(n) * 16}, stats, nil
+}
+
+// chaseRun is one chase run's lists: chain k starts at starts[k] and holds
+// counts[k] elements, and its worker stores the payload sum in sums[k].
+type chaseRun struct {
+	base    int64
+	payload []uint64
+	next    []int32 // -1 terminates
+	starts  []int
+	counts  []int
+	sums    []uint64
+}
+
+func (r *chaseRun) worker(k int) xeon.CPUBody {
+	return &chaseWorker{run: r, k: k, p: r.starts[k]}
+}
+
+// chaseWorker walks chain k: read the element's 16 bytes, add its payload,
+// four cycles of work, follow next. It loads the element's payload and
+// next link on the host before booking the model read, so the two host
+// cache misses overlap each other and the model's own cache probes.
+type chaseWorker struct {
+	run  *chaseRun
+	k, p int
+	pay  uint64 // payload[p]
+	nxt  int32  // next[p]
+	sum  uint64
+	pc   uint8
+}
+
+//emu:nohandoff
+func (w *chaseWorker) Step(t *xeon.CPUThread) bool {
+	r := w.run
+	if r.counts[w.k] == 0 {
+		return true
+	}
+	for {
+		switch w.pc {
+		case 0:
+			w.pay, w.nxt = r.payload[w.p], r.next[w.p]
+			w.pc = 1
+			if t.CRead(r.base+int64(w.p)*16, 16) {
+				return false
+			}
+			fallthrough
+		case 1:
+			w.sum += w.pay
+			w.pc = 2
+			if t.CCompute(4) {
+				return false
+			}
+		}
+		w.pc = 0
+		if w.nxt < 0 {
+			r.sums[w.k] = w.sum
+			return true
+		}
+		w.p = int(w.nxt)
+	}
 }

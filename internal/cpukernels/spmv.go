@@ -76,37 +76,17 @@ func SpMV(ccfg xeon.Config, cfg SpMVConfig) (metrics.Result, error) {
 	sys := xeon.NewSystem(ccfg)
 	// Model addresses. MKL uses 4-byte column indices; the Cilk kernels
 	// compile with 8-byte ones.
-	idxBytes := int64(8)
-	nnzCycles := int64(cilkNNZCycles)
+	run := &spmvRun{m: m, xv: xv, yv: make([]float64, m.Rows), idxBytes: 8, nnzCycles: cilkNNZCycles}
 	if cfg.Variant == SpMVMKL {
-		idxBytes = 4
-		nnzCycles = mklNNZCycles
+		run.idxBytes = 4
+		run.nnzCycles = mklNNZCycles
 	}
 	nnz := int64(m.NNZ())
-	rpA := sys.Alloc(int64(m.Rows+1) * 8)
-	ciA := sys.Alloc(nnz * idxBytes)
-	vvA := sys.Alloc(nnz * 8)
-	xA := sys.Alloc(int64(m.Cols) * 8)
-	yA := sys.Alloc(int64(m.Rows) * 8)
-
-	yv := make([]float64, m.Rows)
-	rowRange := func(th *xeon.CPUThread, lo, hi int) {
-		for r := lo; r < hi; r++ {
-			th.Read(rpA+int64(r)*8, 16) // rowptr[r] and rowptr[r+1]
-			var sum float64
-			for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-				th.Read(ciA+k*idxBytes, idxBytes)
-				th.Read(vvA+k*8, 8)
-				c := m.ColIdx[k]
-				th.Read(xA+c*8, 8)
-				sum += m.Val[k] * xv[c]
-				th.Compute(nnzCycles)
-			}
-			th.Write(yA+int64(r)*8, 8)
-			yv[r] = sum
-			th.Compute(4)
-		}
-	}
+	run.rpA = sys.Alloc(int64(m.Rows+1) * 8)
+	run.ciA = sys.Alloc(nnz * run.idxBytes)
+	run.vvA = sys.Alloc(nnz * 8)
+	run.xA = sys.Alloc(int64(m.Cols) * 8)
+	run.yA = sys.Alloc(int64(m.Rows) * 8)
 
 	var res metrics.Result
 	_, err := sys.Run(func(root *xeon.CPUThread) {
@@ -119,7 +99,7 @@ func SpMV(ccfg xeon.Config, cfg SpMVConfig) (metrics.Result, error) {
 				if lo == hi {
 					continue
 				}
-				root.Spawn(func(th *xeon.CPUThread) { rowRange(th, lo, hi) })
+				root.Spawn(&rowRange{run: run, r: lo, hi: hi})
 			}
 			root.Sync()
 		case SpMVCilkSpawn:
@@ -129,7 +109,7 @@ func SpMV(ccfg xeon.Config, cfg SpMVConfig) (metrics.Result, error) {
 			if grainRows < 1 {
 				grainRows = 1
 			}
-			parFor(root, 0, m.Rows, grainRows, rowRange)
+			root.Await(&parFor{run: run, lo: 0, hi: m.Rows, grain: grainRows})
 			root.Sync()
 		default:
 			panic(fmt.Sprintf("cpukernels: unknown variant %v", cfg.Variant))
@@ -139,27 +119,116 @@ func SpMV(ccfg xeon.Config, cfg SpMVConfig) (metrics.Result, error) {
 	if err != nil {
 		return metrics.Result{}, err
 	}
-	for r := range yv {
-		if yv[r] != want[r] {
-			return metrics.Result{}, fmt.Errorf("cpukernels: spmv y[%d] = %v, want %v", r, yv[r], want[r])
+	for r, y := range run.yv {
+		if y != want[r] {
+			return metrics.Result{}, fmt.Errorf("cpukernels: spmv y[%d] = %v, want %v", r, y, want[r])
 		}
 	}
 	res.Bytes = m.UsefulBytes()
 	return res, nil
 }
 
-// parFor recursively splits [lo, hi) into tasks of at most grain rows,
-// spawning the left half and recursing on the right, like a Cilk loop
-// skeleton built from cilk_spawn.
-func parFor(t *xeon.CPUThread, lo, hi, grain int, body func(*xeon.CPUThread, int, int)) {
-	if hi-lo <= grain {
-		body(t, lo, hi)
-		return
+// spmvRun is one SpMV run's matrix, vectors and model addresses.
+type spmvRun struct {
+	m                     *sparse.CSR
+	xv, yv                []float64
+	rpA, ciA, vvA, xA, yA int64
+	idxBytes, nnzCycles   int64
+}
+
+// rowRange computes rows [r, hi) of y: per row, read its two row pointers;
+// per nonzero, read the column index, the value and x[col], then the
+// variant's per-nonzero cycles; then write y[r] and four cycles of work.
+type rowRange struct {
+	run   *spmvRun
+	r, hi int
+	k     int64 // next nonzero of row r
+	sum   float64
+	pc    uint8
+}
+
+//emu:nohandoff
+func (w *rowRange) Step(t *xeon.CPUThread) bool {
+	s := w.run
+	m := s.m
+	for w.r < w.hi {
+		switch w.pc {
+		case 0: // row start
+			w.k = m.RowPtr[w.r]
+			w.sum = 0
+			w.pc = 1
+			if t.CRead(s.rpA+int64(w.r)*8, 16) { // rowptr[r] and rowptr[r+1]
+				return false
+			}
+		case 1: // next nonzero, or the row's result
+			if w.k == m.RowPtr[w.r+1] {
+				w.pc = 5
+				if t.CWrite(s.yA+int64(w.r)*8, 8) {
+					return false
+				}
+				continue
+			}
+			w.pc = 2
+			if t.CRead(s.ciA+w.k*s.idxBytes, s.idxBytes) {
+				return false
+			}
+		case 2:
+			w.pc = 3
+			if t.CRead(s.vvA+w.k*8, 8) {
+				return false
+			}
+		case 3:
+			w.pc = 4
+			if t.CRead(s.xA+m.ColIdx[w.k]*8, 8) {
+				return false
+			}
+		case 4:
+			w.sum += m.Val[w.k] * s.xv[m.ColIdx[w.k]]
+			w.k++
+			w.pc = 1
+			if t.CCompute(s.nnzCycles) {
+				return false
+			}
+		case 5:
+			s.yv[w.r] = w.sum
+			w.pc = 6
+			if t.CCompute(4) {
+				return false
+			}
+		case 6:
+			w.pc = 0
+			w.r++
+		}
 	}
-	mid := lo + (hi-lo)/2
-	t.Spawn(func(c *xeon.CPUThread) {
-		parFor(c, lo, mid, grain, body)
-		c.Sync()
-	})
-	parFor(t, mid, hi, grain, body)
+	return true
+}
+
+// parFor splits rows [lo, hi) into tasks of at most grain rows, like a
+// Cilk loop skeleton built from cilk_spawn: spawn a parFor over the left
+// half, recurse on the right, and run the last task's rows inline. Step is
+// the recursion made iterative, as for spawnTree; a spawned parFor's
+// implicit sync joins its subtree.
+type parFor struct {
+	run           *spmvRun
+	lo, hi, grain int
+	inline        bool
+	rows          rowRange
+}
+
+//emu:nohandoff
+func (p *parFor) Step(t *xeon.CPUThread) bool {
+	for !p.inline {
+		if p.hi-p.lo <= p.grain {
+			p.inline = true
+			p.rows = rowRange{run: p.run, r: p.lo, hi: p.hi}
+			break
+		}
+		mid := p.lo + (p.hi-p.lo)/2
+		left := &parFor{run: p.run, lo: p.lo, hi: mid, grain: p.grain}
+		p.lo = mid
+		if t.CSpawn(left) {
+			return false
+		}
+	}
+	return p.rows.Step(t)
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"emuchick/internal/metrics"
+	"emuchick/internal/sim"
 	"emuchick/internal/xeon"
 )
 
@@ -39,22 +40,8 @@ func StreamAdd(ccfg xeon.Config, cfg StreamConfig) (metrics.Result, error) {
 		bv[i] = uint64(2 * i)
 	}
 
-	var res metrics.Result
-	_, err := sys.Run(func(root *xeon.CPUThread) {
-		t0 := root.Now()
-		spawnTree(root, 0, cfg.Threads, func(th *xeon.CPUThread, w int) {
-			lo, hi := share(cfg.Elements, w, cfg.Threads)
-			for i := int64(lo); i < int64(hi); i++ {
-				th.Read(a+i*8, 8)
-				th.Read(b+i*8, 8)
-				th.WriteNT(c+i*8, 8) // tuned STREAM streams the destination
-				cv[i] = av[i] + bv[i]
-				th.Compute(1)
-			}
-		})
-		root.Sync()
-		res.Elapsed = root.Now() - t0
-	})
+	run := &streamRun{a: a, b: b, c: c, av: av, bv: bv, cv: cv, elements: cfg.Elements, threads: cfg.Threads}
+	elapsed, err := runWorkers(sys, cfg.Threads, run)
 	if err != nil {
 		return metrics.Result{}, err
 	}
@@ -63,27 +50,112 @@ func StreamAdd(ccfg xeon.Config, cfg StreamConfig) (metrics.Result, error) {
 			return metrics.Result{}, fmt.Errorf("cpukernels: stream c[%d] = %d", i, cv[i])
 		}
 	}
-	res.Bytes = n * 24
-	return res, nil
+	return metrics.Result{Elapsed: elapsed, Bytes: n * 24}, nil
+}
+
+// streamRun is one STREAM ADD run's model addresses and arrays.
+type streamRun struct {
+	a, b, c           int64
+	av, bv, cv        []uint64
+	elements, threads int
+}
+
+func (r *streamRun) worker(w int) xeon.CPUBody {
+	lo, hi := share(r.elements, w, r.threads)
+	return &streamWorker{run: r, i: int64(lo), hi: int64(hi)}
+}
+
+// streamWorker adds its contiguous partition [i, hi) element by element:
+// read a[i], read b[i], stream c[i] out, one cycle of work.
+type streamWorker struct {
+	run   *streamRun
+	i, hi int64
+	pc    uint8
+}
+
+//emu:nohandoff
+func (w *streamWorker) Step(t *xeon.CPUThread) bool {
+	r := w.run
+	for ; w.i < w.hi; w.i++ {
+		i := w.i
+		switch w.pc {
+		case 0:
+			w.pc = 1
+			if t.CRead(r.a+i*8, 8) {
+				return false
+			}
+			fallthrough
+		case 1:
+			w.pc = 2
+			if t.CRead(r.b+i*8, 8) {
+				return false
+			}
+			fallthrough
+		case 2:
+			t.WriteNT(r.c+i*8, 8) // tuned STREAM streams the destination
+			r.cv[i] = r.av[i] + r.bv[i]
+			w.pc = 3
+			if t.CCompute(1) {
+				return false
+			}
+		}
+		w.pc = 0
+	}
+	return true
+}
+
+// runWorkers runs one worker per id in [0, threads), launched by a spawn
+// tree from a Run root, and reports the simulated time from the root's
+// start to the tree's join.
+func runWorkers(sys *xeon.System, threads int, ws workers) (sim.Time, error) {
+	var elapsed sim.Time
+	_, err := sys.Run(func(root *xeon.CPUThread) {
+		t0 := root.Now()
+		root.Await(&spawnTree{hi: threads, ws: ws})
+		root.Sync()
+		elapsed = root.Now() - t0
+	})
+	return elapsed, err
+}
+
+// workers builds the body of each worker id a spawn tree launches.
+type workers interface {
+	worker(id int) xeon.CPUBody
 }
 
 // spawnTree launches one worker per id in [lo, hi) with a recursive binary
 // spawn tree (the Cilk loop skeleton), so launching W workers costs
-// O(log W) critical-path spawns rather than W.
-func spawnTree(t *xeon.CPUThread, lo, hi int, body func(*xeon.CPUThread, int)) {
-	switch hi - lo {
-	case 0:
-		return
-	case 1:
-		t.Spawn(func(c *xeon.CPUThread) { body(c, lo) })
-		return
+// O(log W) critical-path spawns rather than W. Step is the recursion's
+// caller side made iterative: spawn a subtree over the lower half, carry
+// on with the upper half, and spawn the last id's worker. A spawned
+// spawnTree coordinates its subtree, which its thread's implicit sync
+// joins; a Run root drives one with Await and then syncs.
+type spawnTree struct {
+	lo, hi int
+	ws     workers
+}
+
+//emu:nohandoff
+func (s *spawnTree) Step(t *xeon.CPUThread) bool {
+	for {
+		switch n := s.hi - s.lo; {
+		case n <= 0:
+			return true
+		case n == 1:
+			id := s.lo
+			s.lo = s.hi
+			if t.CSpawn(s.ws.worker(id)) {
+				return false
+			}
+		default:
+			mid := s.lo + n/2
+			lower := &spawnTree{lo: s.lo, hi: mid, ws: s.ws}
+			s.lo = mid
+			if t.CSpawn(lower) {
+				return false
+			}
+		}
 	}
-	mid := lo + (hi-lo)/2
-	t.Spawn(func(c *xeon.CPUThread) {
-		spawnTree(c, lo, mid, body)
-		c.Sync()
-	})
-	spawnTree(t, mid, hi, body)
 }
 
 // share splits n items into parts pieces, mirroring kernels.share.

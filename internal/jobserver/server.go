@@ -571,7 +571,7 @@ func (s *Server) Cancel(id string) (Job, error) {
 		return Job{}, fmt.Errorf("jobserver: unknown job %q", id)
 	}
 	j.mu.Lock()
-	state := j.rec.State
+	state, key := j.rec.State, j.rec.Key
 	cancel := j.cancel
 	j.mu.Unlock()
 	switch state {
@@ -582,19 +582,21 @@ func (s *Server) Cancel(id string) (Job, error) {
 			cancel()
 		}
 	case StateQueued:
+		// Accounting first, as in finish: a waiter woken by the canceled
+		// state must already see it.
+		s.mu.Lock()
+		s.stats.Canceled++
+		if s.active[key] == id {
+			delete(s.active, key)
+		}
+		s.releaseLocked(j)
+		s.mu.Unlock()
 		rec := j.set(func(r *Job) {
 			r.State = StateCanceled
 			r.Error = "canceled before start"
 			now := time.Now().UTC()
 			r.FinishedAt = &now
 		})
-		s.mu.Lock()
-		s.stats.Canceled++
-		if s.active[rec.Key] == id {
-			delete(s.active, rec.Key)
-		}
-		s.releaseLocked(j)
-		s.mu.Unlock()
 		s.promoteFollowers(id)
 		if err := s.saveJob(j); err != nil {
 			return rec, err
@@ -687,7 +689,7 @@ func (s *Server) runJob(j *job) {
 	data, hit := s.cachedResultLocked(rec.Key)
 	s.mu.Unlock()
 	if hit {
-		s.finish(j, func(st *Stats) { st.CacheHits++ }, func(r *Job) {
+		s.finish(j, func(st *Stats) { st.CacheHits++; st.Completed++ }, func(r *Job) {
 			r.State = StateDone
 			r.Source = "cache"
 		})
@@ -737,7 +739,7 @@ func (s *Server) runJob(j *job) {
 	if rec.Restarts > 0 {
 		source = "resumed"
 	}
-	s.finish(j, func(st *Stats) { st.Simulated++ }, func(r *Job) {
+	s.finish(j, func(st *Stats) { st.Simulated++; st.Completed++ }, func(r *Job) {
 		r.State = StateDone
 		r.Source = source
 	})
@@ -746,21 +748,20 @@ func (s *Server) runJob(j *job) {
 }
 
 // finish moves a running job to a terminal state and updates accounting,
-// returning the job's admission charge to the in-flight budget.
+// returning the job's admission charge to the in-flight budget. The
+// counters move before the state is published: a waiter woken by the
+// terminal state must already see them.
 func (s *Server) finish(j *job, bump func(*Stats), mut func(*Job)) {
-	rec := j.set(func(r *Job) {
+	s.mu.Lock()
+	s.stats.Running--
+	bump(&s.stats)
+	s.releaseLocked(j)
+	s.mu.Unlock()
+	j.set(func(r *Job) {
 		mut(r)
 		now := time.Now().UTC()
 		r.FinishedAt = &now
 	})
-	s.mu.Lock()
-	s.stats.Running--
-	if rec.State == StateDone {
-		s.stats.Completed++
-	}
-	bump(&s.stats)
-	s.releaseLocked(j)
-	s.mu.Unlock()
 	_ = s.saveJob(j)
 }
 

@@ -1,16 +1,33 @@
 package xeon
 
+import "math"
+
+// noLine tags an invalid way. No model address maps to it (a line is an
+// address divided by the line size), so every int64 a caller can pass,
+// negative ones included, is a distinct line.
+const noLine = math.MinInt64
+
+// way is one cache line slot: its tag (noLine when invalid) and whether it
+// holds modified data.
+type way struct {
+	tag   int64
+	dirty bool
+}
+
 // cache is a set-associative cache with true-LRU replacement, keyed by line
 // number. It tracks presence only — data is carried functionally by the
 // kernels — which is all a timing model needs.
+//
+// Each set is kept in recency order, most recent first, so a probe reads
+// one contiguous run and the LRU victim is always the set's last way. Ways
+// are never invalidated, so a set's invalid ways are always a suffix: a
+// fill takes the first invalid way while one exists, then the least
+// recently used one — the same victim a per-way timestamp scan picks.
 type cache struct {
 	sets    int
 	setMask int64 // sets-1 when sets is a power of two, else -1
 	assoc   int
-	tags    []int64  // sets*assoc entries; -1 = invalid
-	stamps  []uint64 // LRU timestamps parallel to tags
-	dirty   []bool   // parallel to tags
-	tick    uint64
+	ways    []way // sets*assoc entries, each set most-recent-first
 	hits    uint64
 	misses  uint64
 	inserts uint64
@@ -27,106 +44,115 @@ func newCache(totalBytes, lineBytes, assoc int) *cache {
 		sets:    sets,
 		setMask: -1,
 		assoc:   assoc,
-		tags:    make([]int64, sets*assoc),
-		stamps:  make([]uint64, sets*assoc),
-		dirty:   make([]bool, sets*assoc),
+		ways:    make([]way, sets*assoc),
 	}
 	if sets&(sets-1) == 0 {
 		c.setMask = int64(sets - 1)
 	}
-	for i := range c.tags {
-		c.tags[i] = -1
+	for i := range c.ways {
+		c.ways[i].tag = noLine
 	}
 	return c
 }
 
-// setOf maps a line to its set index. Realistic geometries have
-// power-of-two set counts, where the Euclidean modulus reduces to a mask
-// (valid for negative lines too: two's-complement AND is the positive
+// setOf returns line's set, most recent way first. Realistic geometries
+// have power-of-two set counts, where the Euclidean modulus reduces to a
+// mask (valid for negative lines too: two's-complement AND is the positive
 // residue); odd set counts fall back to the division form.
 //
 //emu:hotpath probed once per tag lookup/insert
-func (c *cache) setOf(line int64) int {
+func (c *cache) setOf(line int64) []way {
+	var s int
 	if c.setMask >= 0 {
-		return int(line & c.setMask)
+		s = int(line & c.setMask)
+	} else {
+		s = int(line % int64(c.sets))
+		if s < 0 {
+			s += c.sets
+		}
 	}
-	s := int(line % int64(c.sets))
-	if s < 0 {
-		s += c.sets
+	base := s * c.assoc
+	return c.ways[base : base+c.assoc : base+c.assoc]
+}
+
+// find returns line's way index within set, or -1. An invalid way's tag
+// matches no line, so the scan needs one compare per way.
+//
+//emu:hotpath
+func find(set []way, line int64) int {
+	for i := range set {
+		if set[i].tag == line {
+			return i
+		}
 	}
-	return s
+	return -1
+}
+
+// touch makes way i of set the most recent one.
+//
+//emu:hotpath
+func touch(set []way, i int) {
+	if i == 0 {
+		return
+	}
+	w := set[i]
+	copy(set[1:i+1], set[:i])
+	set[0] = w
 }
 
 // lookup probes for line, updating LRU state on a hit. It reports whether
 // the line was present.
+//
+//emu:hotpath
 func (c *cache) lookup(line int64) bool {
-	base := c.setOf(line) * c.assoc
-	for w := 0; w < c.assoc; w++ {
-		if c.tags[base+w] == line {
-			c.tick++
-			c.stamps[base+w] = c.tick
-			c.hits++
-			return true
-		}
+	set := c.setOf(line)
+	if i := find(set, line); i >= 0 {
+		touch(set, i)
+		c.hits++
+		return true
 	}
 	c.misses++
 	return false
 }
 
 // contains probes without updating LRU or statistics.
+//
+//emu:hotpath
 func (c *cache) contains(line int64) bool {
-	base := c.setOf(line) * c.assoc
-	for w := 0; w < c.assoc; w++ {
-		if c.tags[base+w] == line {
-			return true
-		}
-	}
-	return false
+	return find(c.setOf(line), line) >= 0
 }
 
 // markDirty flags a resident line as modified; it is a no-op for lines
 // not present.
+//
+//emu:hotpath
 func (c *cache) markDirty(line int64) {
-	base := c.setOf(line) * c.assoc
-	for w := 0; w < c.assoc; w++ {
-		if c.tags[base+w] == line {
-			c.dirty[base+w] = true
-			return
-		}
+	set := c.setOf(line)
+	if i := find(set, line); i >= 0 {
+		set[i].dirty = true
 	}
 }
 
 // insert fills line, evicting the LRU way of its set if needed, and
-// reports the evicted line and whether it was dirty (needing writeback).
-// Inserting a line that is already present only refreshes its LRU stamp.
+// reports the evicted line and whether it was dirty (needing writeback);
+// evicted is -1 when no valid line was displaced. Inserting a line that is
+// already present only makes it the most recent.
+//
+//emu:hotpath
 func (c *cache) insert(line int64) (evicted int64, wasDirty bool) {
-	base := c.setOf(line) * c.assoc
-	victim := base
-	for w := 0; w < c.assoc; w++ {
-		i := base + w
-		if c.tags[i] == line {
-			c.tick++
-			c.stamps[i] = c.tick
-			return -1, false
-		}
-		if c.tags[i] == -1 {
-			victim = i
-			break
-		}
-		if c.stamps[i] < c.stamps[victim] {
-			victim = i
-		}
-	}
-	evicted, wasDirty = c.tags[victim], c.dirty[victim]
-	c.tick++
-	c.tags[victim] = line
-	c.stamps[victim] = c.tick
-	c.dirty[victim] = false
-	c.inserts++
-	if evicted == -1 {
+	set := c.setOf(line)
+	if i := find(set, line); i >= 0 {
+		touch(set, i)
 		return -1, false
 	}
-	return evicted, wasDirty
+	victim := set[len(set)-1]
+	copy(set[1:], set[:len(set)-1])
+	set[0] = way{tag: line}
+	c.inserts++
+	if victim.tag == noLine {
+		return -1, false
+	}
+	return victim.tag, victim.dirty
 }
 
 // lines reports the cache's capacity in lines.
@@ -135,8 +161,8 @@ func (c *cache) lines() int { return c.sets * c.assoc }
 // resident counts valid lines (test helper; O(capacity)).
 func (c *cache) resident() int {
 	n := 0
-	for _, t := range c.tags {
-		if t != -1 {
+	for _, w := range c.ways {
+		if w.tag != noLine {
 			n++
 		}
 	}

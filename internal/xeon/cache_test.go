@@ -3,6 +3,8 @@ package xeon
 import (
 	"testing"
 	"testing/quick"
+
+	"emuchick/internal/workload"
 )
 
 func TestCacheHitAfterInsert(t *testing.T) {
@@ -97,5 +99,122 @@ func TestCacheCapacityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// stampCache is the reference the recency-ordered cache must match: the
+// classic timestamp LRU, which stamps a way on every touch and evicts the
+// first invalid way of a set, else its smallest stamp.
+type stampCache struct {
+	sets, assoc int
+	tags        []int64
+	valid       []bool
+	dirty       []bool
+	stamps      []uint64
+	tick        uint64
+}
+
+func newStampCache(totalBytes, lineBytes, assoc int) *stampCache {
+	sets := max(totalBytes/lineBytes/assoc, 1)
+	n := sets * assoc
+	return &stampCache{sets: sets, assoc: assoc, tags: make([]int64, n),
+		valid: make([]bool, n), dirty: make([]bool, n), stamps: make([]uint64, n)}
+}
+
+func (c *stampCache) base(line int64) int {
+	s := int(line % int64(c.sets))
+	if s < 0 {
+		s += c.sets
+	}
+	return s * c.assoc
+}
+
+func (c *stampCache) find(line int64) int {
+	b := c.base(line)
+	for i := b; i < b+c.assoc; i++ {
+		if c.valid[i] && c.tags[i] == line {
+			return i
+		}
+	}
+	return -1
+}
+
+func (c *stampCache) lookup(line int64) bool {
+	if i := c.find(line); i >= 0 {
+		c.tick++
+		c.stamps[i] = c.tick
+		return true
+	}
+	return false
+}
+
+func (c *stampCache) contains(line int64) bool { return c.find(line) >= 0 }
+
+func (c *stampCache) markDirty(line int64) {
+	if i := c.find(line); i >= 0 {
+		c.dirty[i] = true
+	}
+}
+
+func (c *stampCache) insert(line int64) (int64, bool) {
+	c.tick++
+	if i := c.find(line); i >= 0 {
+		c.stamps[i] = c.tick
+		return -1, false
+	}
+	b := c.base(line)
+	victim := b
+	for i := b; i < b+c.assoc; i++ {
+		if !c.valid[i] {
+			victim = i
+			break
+		}
+		if c.stamps[i] < c.stamps[victim] {
+			victim = i
+		}
+	}
+	ev, evDirty, evValid := c.tags[victim], c.dirty[victim], c.valid[victim]
+	c.tags[victim], c.valid[victim], c.dirty[victim], c.stamps[victim] = line, true, false, c.tick
+	if !evValid {
+		return -1, false
+	}
+	return ev, evDirty
+}
+
+// TestCacheMatchesStampLRU drives the recency-ordered cache and the stamp
+// LRU reference through one random trace of lookups, inserts, dirty marks
+// and probes, over geometries with power-of-two and odd set counts and
+// lines of both signs, and requires every return value to agree.
+func TestCacheMatchesStampLRU(t *testing.T) {
+	geoms := []struct{ bytes, assoc int }{
+		{8 * 64, 1}, {8 * 64, 2}, {16 * 64, 4}, {12 * 64, 4}, {40 * 64, 8}, {20 * 64, 20},
+	}
+	rng := workload.NewRNG(17)
+	for _, g := range geoms {
+		c, ref := newCache(g.bytes, 64, g.assoc), newStampCache(g.bytes, 64, g.assoc)
+		span := int64(3 * c.lines())
+		for step := 0; step < 20000; step++ {
+			line := int64(rng.Intn(int(span))) - span/4
+			switch op := rng.Intn(4); op {
+			case 0:
+				if got, want := c.lookup(line), ref.lookup(line); got != want {
+					t.Fatalf("%+v step %d: lookup(%d) = %v, want %v", g, step, line, got, want)
+				}
+			case 1:
+				gotEv, gotDirty := c.insert(line)
+				wantEv, wantDirty := ref.insert(line)
+				if gotEv != wantEv || gotDirty != wantDirty {
+					t.Fatalf("%+v step %d: insert(%d) = (%d, %v), want (%d, %v)",
+						g, step, line, gotEv, gotDirty, wantEv, wantDirty)
+				}
+			case 2:
+				c.markDirty(line)
+				ref.markDirty(line)
+			case 3:
+				if got, want := c.contains(line), ref.contains(line); got != want {
+					t.Fatalf("%+v step %d: contains(%d) = %v, want %v", g, step, line, got, want)
+				}
+			}
+		}
 	}
 }

@@ -20,8 +20,9 @@ type System struct {
 	l3    *cache          // shared L3
 	mem   *dram
 
-	nextHW  int   // round-robin hardware-thread placement cursor
-	nextMem int64 // bump allocator for model addresses
+	nextHW      int          // round-robin hardware-thread placement cursor
+	nextMem     int64        // bump allocator for model addresses
+	freeThreads []*CPUThread // finished spawned threads, recycled by the next spawn
 
 	// prefetchReady holds the DRAM completion time of lines that were
 	// prefetched into the caches but whose transfer may still be in
@@ -82,32 +83,58 @@ func (s *System) PeakChannelUtilization(elapsed sim.Time) float64 {
 }
 
 // Run executes root as the first software thread and drives the simulation
-// to completion, returning total simulated time.
+// to completion, returning total simulated time. root runs as a straight-line
+// closure on a coroutine host and uses the blocking ops (Read, Spawn,
+// Sync, ...); every thread it spawns is a CPUBody continuation proc.
 func (s *System) Run(root func(*CPUThread)) (sim.Time, error) {
 	start := s.Eng.Now()
-	s.startThread(s.Eng.Now(), root, nil)
+	t := s.newThread()
+	s.Eng.GoAt(s.Eng.Now(), "cpu", func(p *sim.Proc) {
+		t.p = p
+		root(t)
+		t.Sync()
+	})
 	if err := s.Eng.Run(); err != nil {
 		return 0, err
 	}
 	return s.Eng.Now() - start, nil
 }
 
-func (s *System) startThread(at sim.Time, body func(*CPUThread), parent *sim.Join) {
-	core := (s.nextHW) % s.Cfg.Cores
+// acquireThread takes a thread from the pool, or builds one, and pins it to
+// the next hardware-thread slot in round-robin order.
+//
+//emu:hotpath pool hit is the steady state; the miss path is factored into newThread
+func (s *System) acquireThread() *CPUThread {
+	n := len(s.freeThreads)
+	if n == 0 {
+		return s.newThread()
+	}
+	t := s.freeThreads[n-1]
+	s.freeThreads[n-1] = nil
+	s.freeThreads = s.freeThreads[:n-1]
+	s.resetThread(t)
+	return t
+}
+
+// newThread builds a thread on the next hardware-thread slot.
+//
+//emu:cold pool miss: runs once per pool-high-water thread
+func (s *System) newThread() *CPUThread {
+	t := &CPUThread{}
+	s.resetThread(t)
+	return t
+}
+
+// resetThread clears t for a new software thread and claims the next
+// hardware-thread slot for it.
+//
+//emu:hotpath
+func (s *System) resetThread(t *CPUThread) {
+	*t = CPUThread{sys: s, core: s.nextHW % s.Cfg.Cores, wcLine: -1}
 	s.nextHW = (s.nextHW + 1) % s.Cfg.HardwareThreads()
-	s.Eng.GoAt(at, "cpu", func(p *sim.Proc) {
-		t := &CPUThread{sys: s, p: p, core: core, wcLine: -1}
-		for i := range t.streams {
-			t.streams[i] = -2 // no stream tracks line -2 or -1
-		}
-		body(t)
-		if t.children != nil {
-			t.children.Wait(p)
-		}
-		if parent != nil {
-			parent.Done()
-		}
-	})
+	for i := range t.streams {
+		t.streams[i] = -2 // no stream tracks line -2 or -1
+	}
 }
 
 // streamTableSize is how many concurrent sequential streams the per-thread
@@ -115,12 +142,44 @@ func (s *System) startThread(at sim.Time, body func(*CPUThread), parent *sim.Joi
 // kernels like STREAM that interleave accesses to multiple arrays.
 const streamTableSize = 4
 
+// CPUBody is the body of a spawned CPU thread: a resumable state machine
+// the event loop drives by a method call. Step resumes the body with no
+// operation pending; it returns true when the body has run to completion,
+// or false right after a booking op (CRead, CWrite, CCompute, CSpawn,
+// CSync) reported parked=true. The op is complete when Step is re-entered.
+type CPUBody interface {
+	Step(t *CPUThread) bool
+}
+
+// cpuOp is the operation a parked thread is in the middle of, when
+// resuming it takes more than letting simulated time pass.
+type cpuOp uint8
+
+const (
+	opNone  cpuOp = iota
+	opSpawn       // spawn overhead booked; launch spawnBody on resume
+	opSync        // waiting on the children's join
+)
+
 // CPUThread is one software thread of the Cilk runtime, pinned to a core.
+//
+// Each operation is written once, as a booking half (CRead, CWrite,
+// CCompute, CSpawn, CSync) that does the op's work at the current time and
+// reports whether the thread parked. A spawned thread runs a CPUBody whose
+// Step returns when an op parks; the Run root instead calls the blocking
+// wrappers (Read, Write, Compute, Spawn, Sync), which park its coroutine on
+// the same wait. Both therefore book identical resources at identical
+// times and produce the same (at, seq) event stream.
 type CPUThread struct {
 	sys      *System
 	p        *sim.Proc
 	core     int
-	children *sim.Join
+	body     CPUBody   // nil once the body has run to completion
+	parent   *sim.Join // the spawning thread's children; nil for the root
+	children sim.Join
+
+	op        cpuOp
+	spawnBody CPUBody
 
 	// Stream-prefetcher state (per hardware context): last line and run
 	// length of each tracked stream, plus a round-robin victim cursor.
@@ -132,6 +191,66 @@ type CPUThread struct {
 	wcLine int64
 }
 
+// StepProc is the sim.Stepper of a spawned thread. It runs the whole
+// lifecycle: the body, then the implicit end-of-body sync, then the
+// parent's join, then exit, returning the thread to the system's pool.
+//
+//emu:nohandoff
+func (t *CPUThread) StepProc(p *sim.Proc) {
+	t.finishOp()
+	if t.body != nil {
+		//lint:allow nohandoff CPUBody implementations live downstream (cpukernels) and each Step carries its own //emu:nohandoff annotation
+		if !t.body.Step(t) {
+			return
+		}
+		t.body = nil
+		if t.CSync() {
+			return
+		}
+	}
+	t.parent.Done()
+	s := t.sys
+	s.freeThreads = append(s.freeThreads, t)
+	p.Exit()
+}
+
+// finishOp completes the pending operation once a parked thread resumes.
+//
+//emu:hotpath
+func (t *CPUThread) finishOp() {
+	if t.op == opSpawn {
+		s := t.sys
+		t.children.Add(1)
+		child := s.acquireThread()
+		child.body = t.spawnBody
+		child.parent = &t.children
+		child.p = s.Eng.SpawnContAt(t.p.Now()+s.Cfg.SpawnOverhead, "cpu", child)
+		t.spawnBody = nil
+	}
+	t.op = opNone
+}
+
+// block parks a Run root's coroutine after a booking op reported parked,
+// then completes the op — what StepProc's return and re-entry do for a
+// spawned thread. ParkReason re-records the site and time the booking op
+// already recorded, so SleepUntil plus block is exactly WaitUntil.
+func (t *CPUThread) block() {
+	if t.op == opSync {
+		t.p.ParkReason("join")
+	} else {
+		t.p.ParkReason("wait")
+	}
+	t.finishOp()
+}
+
+// Await runs body to completion on a Run root, blocking at each op that
+// parks. It is how a root drives a CPUBody (a spawn tree, say) inline.
+func (t *CPUThread) Await(body CPUBody) {
+	for !body.Step(t) {
+		t.block()
+	}
+}
+
 // Core reports the core the thread is pinned to.
 func (t *CPUThread) Core() int { return t.core }
 
@@ -141,23 +260,94 @@ func (t *CPUThread) Now() sim.Time { return t.p.Now() }
 // System returns the platform the thread runs on.
 func (t *CPUThread) System() *System { return t.sys }
 
-// Compute charges cycles of execution on the thread's core.
-func (t *CPUThread) Compute(cycles int64) {
+// CCompute charges cycles of execution on the thread's core.
+//
+//emu:hotpath
+func (t *CPUThread) CCompute(cycles int64) (parked bool) {
 	if cycles <= 0 {
-		return
+		return false
 	}
 	_, done := t.sys.cores[t.core].Acquire(t.p.Now(), t.sys.clock.Cycles(cycles))
-	t.p.WaitUntil(done)
+	return t.p.SleepUntil(done)
 }
 
-// Read models a blocking load of bytes at addr, walking the cache
+// CRead models a blocking load of bytes at addr, walking the cache
 // hierarchy per covered line.
-func (t *CPUThread) Read(addr, bytes int64) { t.access(addr, bytes, false) }
+//
+//emu:hotpath
+func (t *CPUThread) CRead(addr, bytes int64) (parked bool) { return t.access(addr, bytes, false) }
 
-// Write models a store of bytes at addr with write-allocate semantics: the
+// CWrite models a store of bytes at addr with write-allocate semantics: the
 // line is fetched like a read, marked dirty, and written back to memory
 // when eventually evicted (consuming channel bandwidth asynchronously).
-func (t *CPUThread) Write(addr, bytes int64) { t.access(addr, bytes, true) }
+//
+//emu:hotpath
+func (t *CPUThread) CWrite(addr, bytes int64) (parked bool) { return t.access(addr, bytes, true) }
+
+// CSpawn creates a child thread (cilk_spawn): the parent is charged the
+// runtime's spawn overhead on its core, and only then takes the next
+// hardware-thread slot for the child, which begins after the same overhead.
+//
+//emu:hotpath
+func (t *CPUThread) CSpawn(body CPUBody) (parked bool) {
+	s := t.sys
+	t.op = opSpawn
+	t.spawnBody = body
+	if s.Cfg.SpawnOverhead > 0 {
+		_, done := s.cores[t.core].Acquire(t.p.Now(), s.Cfg.SpawnOverhead)
+		if t.p.SleepUntil(done) {
+			return true
+		}
+	}
+	t.finishOp()
+	return false
+}
+
+// CSync joins all children spawned so far (cilk_sync).
+//
+//emu:hotpath
+func (t *CPUThread) CSync() (parked bool) {
+	if !t.children.WaitCont(t.p) {
+		return false
+	}
+	t.op = opSync
+	return true
+}
+
+// Compute is the blocking form of CCompute.
+func (t *CPUThread) Compute(cycles int64) {
+	if t.CCompute(cycles) {
+		t.block()
+	}
+}
+
+// Read is the blocking form of CRead.
+func (t *CPUThread) Read(addr, bytes int64) {
+	if t.CRead(addr, bytes) {
+		t.block()
+	}
+}
+
+// Write is the blocking form of CWrite.
+func (t *CPUThread) Write(addr, bytes int64) {
+	if t.CWrite(addr, bytes) {
+		t.block()
+	}
+}
+
+// Spawn is the blocking form of CSpawn.
+func (t *CPUThread) Spawn(body CPUBody) {
+	if t.CSpawn(body) {
+		t.block()
+	}
+}
+
+// Sync is the blocking form of CSync.
+func (t *CPUThread) Sync() {
+	if t.CSync() {
+		t.block()
+	}
+}
 
 // WriteNT models a non-temporal (streaming) store: it bypasses the caches
 // through a per-thread write-combining buffer, booking one full-line DRAM
@@ -189,9 +379,13 @@ func (t *CPUThread) WriteNT(addr, bytes int64) {
 	s.NTWriteLines += uint64(last - first + 1)
 }
 
-func (t *CPUThread) access(addr, bytes int64, write bool) {
+// access books a load or store of bytes at addr line by line and sleeps
+// until the last line completes.
+//
+//emu:hotpath
+func (t *CPUThread) access(addr, bytes int64, write bool) (parked bool) {
 	if bytes <= 0 {
-		return
+		return false
 	}
 	s := t.sys
 	lb := int64(s.Cfg.LineBytes)
@@ -203,7 +397,7 @@ func (t *CPUThread) access(addr, bytes int64, write bool) {
 			finish = done
 		}
 	}
-	t.p.WaitUntil(finish)
+	return t.p.SleepUntil(finish)
 }
 
 // insertL3 fills a line into the shared L3, writing back the dirty victim.
@@ -254,35 +448,18 @@ func (t *CPUThread) lineAccess(line int64, write bool) sim.Time {
 		}
 	}
 
-	// waitReady adds any in-flight prefetch completion to a hit time, so
-	// prefetched lines cannot be consumed faster than DRAM delivers them.
-	// The empty-map guard keeps prefetch-free kernels (pointer chase) off
-	// the hash probe entirely.
-	waitReady := func(done sim.Time) sim.Time {
-		if len(s.prefetchReady) == 0 {
-			return done
-		}
-		if ready, ok := s.prefetchReady[line]; ok {
-			delete(s.prefetchReady, line)
-			if ready > done {
-				return ready
-			}
-		}
-		return done
-	}
-
 	if s.l2[t.core].lookup(line) {
 		if write {
 			s.l2[t.core].markDirty(line)
 		}
-		return waitReady(now + s.Cfg.L2Latency)
+		return s.prefetchWait(line, now+s.Cfg.L2Latency)
 	}
 	if s.l3.lookup(line) {
 		s.insertL2(now, t.core, line)
 		if write {
 			s.l2[t.core].markDirty(line)
 		}
-		return waitReady(now + s.Cfg.L3Latency)
+		return s.prefetchWait(line, now+s.Cfg.L3Latency)
 	}
 	done := s.mem.fetch(now, line)
 	s.insertL3(now, line)
@@ -291,6 +468,25 @@ func (t *CPUThread) lineAccess(line int64, write bool) sim.Time {
 		s.l2[t.core].markDirty(line)
 	}
 	s.DRAMLines++
+	return done
+}
+
+// prefetchWait adds any in-flight prefetch completion of line to a hit's
+// completion time done, so prefetched lines cannot be consumed faster than
+// DRAM delivers them. The empty-map guard keeps prefetch-free kernels
+// (pointer chase) off the hash probe entirely.
+//
+//emu:hotpath
+func (s *System) prefetchWait(line int64, done sim.Time) sim.Time {
+	if len(s.prefetchReady) == 0 {
+		return done
+	}
+	if ready, ok := s.prefetchReady[line]; ok {
+		delete(s.prefetchReady, line)
+		if ready > done {
+			return ready
+		}
+	}
 	return done
 }
 
@@ -313,28 +509,4 @@ func (t *CPUThread) prefetchArm(line int64) bool {
 	t.runs[t.victim] = 0
 	t.victim = (t.victim + 1) % streamTableSize
 	return false
-}
-
-// Spawn creates a child thread (cilk_spawn): the parent is charged the
-// runtime's spawn overhead and the child begins after the same overhead on
-// the next hardware thread slot.
-func (t *CPUThread) Spawn(fn func(*CPUThread)) {
-	s := t.sys
-	if s.Cfg.SpawnOverhead > 0 {
-		_, done := s.cores[t.core].Acquire(t.p.Now(), s.Cfg.SpawnOverhead)
-		t.p.WaitUntil(done)
-	}
-	if t.children == nil {
-		t.children = sim.NewJoin(0)
-	}
-	t.children.Add(1)
-	s.startThread(t.p.Now()+s.Cfg.SpawnOverhead, fn, t.children)
-}
-
-// Sync blocks until all children spawned so far have finished (cilk_sync).
-func (t *CPUThread) Sync() {
-	if t.children == nil || t.children.Pending() == 0 {
-		return
-	}
-	t.children.Wait(t.p)
 }

@@ -188,10 +188,7 @@ func TestSpawnSyncAndCorePlacement(t *testing.T) {
 	cores := map[int]bool{}
 	_, err := s.Run(func(th *CPUThread) {
 		for i := 0; i < 16; i++ {
-			th.Spawn(func(c *CPUThread) {
-				cores[c.Core()] = true
-				c.Compute(1000)
-			})
+			th.Spawn(&computeBody{cycles: 1000, cores: cores})
 		}
 		th.Sync()
 	})
@@ -209,7 +206,7 @@ func TestComputeParallelSpeedup(t *testing.T) {
 		s := NewSystem(SandyBridgeXeon())
 		elapsed, err := s.Run(func(th *CPUThread) {
 			for w := 0; w < workers; w++ {
-				th.Spawn(func(c *CPUThread) { c.Compute(2_600_000) }) // 1 ms each
+				th.Spawn(&computeBody{cycles: 2_600_000}) // 1 ms each
 			}
 			th.Sync()
 		})
@@ -299,12 +296,7 @@ func TestXeonDeterminism(t *testing.T) {
 		base := s.Alloc(1 << 16)
 		elapsed, err := s.Run(func(th *CPUThread) {
 			for w := 0; w < 4; w++ {
-				w := w
-				th.Spawn(func(c *CPUThread) {
-					for i := int64(0); i < 256; i++ {
-						c.Read(base+(i*4+int64(w))*64, 16)
-					}
-				})
+				th.Spawn(&stridedReads{base: base, w: int64(w)})
 			}
 			th.Sync()
 		})
@@ -336,4 +328,39 @@ func TestRowHitRatioTracksLocality(t *testing.T) {
 	if r := s.RowHitRatio(); r < 0.9 {
 		t.Fatalf("sequential row-hit ratio = %v", r)
 	}
+}
+
+// computeBody records its core in cores (when set), then computes cycles.
+type computeBody struct {
+	cycles int64
+	cores  map[int]bool
+	issued bool
+}
+
+func (b *computeBody) Step(t *CPUThread) bool {
+	if b.issued {
+		return true
+	}
+	b.issued = true
+	if b.cores != nil {
+		b.cores[t.Core()] = true
+	}
+	return !t.CCompute(b.cycles)
+}
+
+// stridedReads reads 16 bytes from each of 256 lines interleaved four
+// ways, starting at line w.
+type stridedReads struct {
+	base, w, i int64
+}
+
+func (b *stridedReads) Step(t *CPUThread) bool {
+	for b.i < 256 {
+		addr := b.base + (b.i*4+b.w)*64
+		b.i++
+		if t.CRead(addr, 16) {
+			return false
+		}
+	}
+	return true
 }
