@@ -38,11 +38,13 @@ bench:
 BENCH_ITERS ?= 5
 # The baseline the gate diffs against: BENCH_engine5.json is the newest
 # archive (every Xeon-model worker a continuation proc, recency-ordered
-# cache sets); BENCH_engine4.json (one proc host: closure bodies on
-# coroutines behind the Stepper dispatch path), BENCH_engine3.json
-# (continuation engine beside the goroutine shim), BENCH_engine2.json
-# (post-optimization goroutine engine) and BENCH_engine.json
-# (pre-optimization) are kept so the trajectory stays visible.
+# cache sets; only its Xeon rows are re-measured, its Emu rows are
+# engine4's, see DESIGN.md §13); BENCH_engine4.json (one proc host:
+# closure bodies on coroutines behind the Stepper dispatch path),
+# BENCH_engine3.json (continuation engine beside the goroutine shim),
+# BENCH_engine2.json (post-optimization goroutine engine) and
+# BENCH_engine.json (pre-optimization) are kept so the trajectory stays
+# visible.
 BENCH_BASELINE ?= BENCH_engine5.json
 
 # The gated benchmark set: the per-figure benchmarks plus the

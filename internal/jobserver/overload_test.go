@@ -59,7 +59,12 @@ func TestOverloadShedsWithRetryAfter(t *testing.T) {
 	defer ts.Close()
 
 	// Job one wedges the only worker mid-sweep; job two fills the queue.
+	// Job one must have left the queue first, or job two finds it full.
 	first := postJob(t, ts.URL, quickExperiment())
+	waitFor(t, func() bool {
+		got, _ := srv.Get(first.ID)
+		return got.State == StateRunning
+	})
 	second := postJob(t, ts.URL, quickKernel())
 
 	// Queue saturated: a third distinct workload is shed.

@@ -21,6 +21,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -172,6 +173,9 @@ type job struct {
 	version int
 	ping    chan struct{} // closed and replaced on every update
 	cancel  context.CancelFunc
+	// claimed is set, under mu, by whichever of a worker starting the job
+	// and Cancel canceling it takes a queued job first; the other backs off.
+	claimed bool
 	// admitted is the byte charge this job holds against the server's
 	// in-flight budget; guarded by Server.mu, not job.mu.
 	admitted int64
@@ -571,23 +575,24 @@ func (s *Server) Cancel(id string) (Job, error) {
 		return Job{}, fmt.Errorf("jobserver: unknown job %q", id)
 	}
 	j.mu.Lock()
-	state, key := j.rec.State, j.rec.Key
+	key := j.rec.Key
+	queued := j.rec.State == StateQueued && !j.claimed
+	if queued {
+		j.claimed = true
+	}
 	cancel := j.cancel
 	j.mu.Unlock()
-	switch state {
-	case StateRunning:
-		// The engine Interrupt hook aborts the in-flight simulation; the
-		// worker records the terminal state.
-		if cancel != nil {
-			cancel()
-		}
-	case StateQueued:
+	switch {
+	case queued:
 		// Accounting first, as in finish: a waiter woken by the canceled
-		// state must already see it.
+		// state must already see it. A canceled follower also leaves its
+		// leader's group, so the leader's result does not complete it.
 		s.mu.Lock()
 		s.stats.Canceled++
-		if s.active[key] == id {
+		if leader, ok := s.active[key]; ok && leader == id {
 			delete(s.active, key)
+		} else if ok {
+			s.followers[leader] = slices.DeleteFunc(s.followers[leader], func(f string) bool { return f == id })
 		}
 		s.releaseLocked(j)
 		s.mu.Unlock()
@@ -601,6 +606,12 @@ func (s *Server) Cancel(id string) (Job, error) {
 		if err := s.saveJob(j); err != nil {
 			return rec, err
 		}
+	case cancel != nil:
+		// Running, or claimed by a worker that is about to run it: the
+		// engine Interrupt hook aborts the simulation and the worker
+		// records the terminal state. (Canceling a finished job's context
+		// is a no-op.)
+		cancel()
 	}
 	rec, _ := j.snapshot()
 	return rec, nil
@@ -662,14 +673,16 @@ func (s *Server) worker() {
 // runJob drives one job to a terminal state (or back to queued on server
 // shutdown).
 func (s *Server) runJob(j *job) {
-	rec, _ := j.snapshot()
-	if rec.State != StateQueued {
-		return // canceled while waiting in the queue
-	}
 	ctx, cancel := context.WithCancel(s.root)
 	defer cancel()
 	j.mu.Lock()
+	if j.rec.State != StateQueued || j.claimed {
+		j.mu.Unlock()
+		return // canceled while waiting in the queue
+	}
+	j.claimed = true
 	j.cancel = cancel
+	rec := j.rec
 	j.mu.Unlock()
 
 	s.mu.Lock()
@@ -706,6 +719,9 @@ func (s *Server) runJob(j *job) {
 			s.mu.Lock()
 			s.stats.Running--
 			s.mu.Unlock()
+			j.mu.Lock()
+			j.claimed = false // queued again, so takeable again
+			j.mu.Unlock()
 			prec := j.set(func(r *Job) {
 				r.State = StateQueued
 				r.Error = ""

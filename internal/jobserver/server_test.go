@@ -315,6 +315,82 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 }
 
+// TestCancelFollowerStaysCanceled: canceling a single-flight follower takes
+// it out of its leader's group, so the leader's result does not later
+// complete it as a cache hit on top of its cancel.
+func TestCancelFollowerStaysCanceled(t *testing.T) {
+	block := make(chan struct{})
+	started := make(chan struct{})
+	var once sync.Once
+	srv := newTestServer(t, Config{
+		Workers:        1,
+		ParallelPerJob: 1,
+		CellHook: func(id string, cells int) {
+			once.Do(func() { close(started) })
+			<-block
+		},
+	})
+	defer srv.Close()
+
+	leader, err := srv.Submit(quickExperiment())
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	follower, err := srv.Submit(quickExperiment())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Cancel(follower.ID); err != nil {
+		t.Fatal(err)
+	}
+	close(block)
+	if got := waitTerminal(t, srv, leader.ID); got.State != StateDone {
+		t.Fatalf("leader ended %s: %s", got.State, got.Error)
+	}
+	srv.Close() // waits for the worker, so it has settled the leader's group
+	if got, _ := srv.Get(follower.ID); got.State != StateCanceled {
+		t.Fatalf("canceled follower ended %s", got.State)
+	}
+	if st := srv.Stats(); st.Canceled != 1 || st.Completed != 1 || st.CacheHits != 0 {
+		t.Fatalf("stats = %+v, want 1 canceled, 1 completed, no cache hit", st)
+	}
+}
+
+// TestCancelRacingWorkerCountsOnce: a Cancel that lands while a worker is
+// taking the same job off the queue leaves exactly one outcome. Either the
+// job is canceled before start and never runs, or it runs and the cancel
+// interrupts it; it is never counted both canceled and completed.
+func TestCancelRacingWorkerCountsOnce(t *testing.T) {
+	srv := newTestServer(t, Config{Workers: 2, ParallelPerJob: 1})
+	defer srv.Close()
+	const n = 24
+	ids := make([]string, n)
+	for i := range ids {
+		// Distinct workloads, so every job is its own leader.
+		spec := jobspec.Spec{Kernel: "gups", Params: kernels.Params{Elems: 64, Updates: 256 + i, Threads: 8}}
+		rec, err := srv.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = rec.ID
+		if _, err := srv.Cancel(rec.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[State]int{}
+	for _, id := range ids {
+		want[waitTerminal(t, srv, id).State]++
+	}
+	st := srv.Stats()
+	if st.Canceled != want[StateCanceled] || st.Completed != want[StateDone] || st.Failed != want[StateFailed] {
+		t.Fatalf("stats = %+v, final states %v", st, want)
+	}
+	if st.Running != 0 || st.Canceled+st.Completed+st.Failed != n {
+		t.Fatalf("stats = %+v, want %d jobs each counted once", st, n)
+	}
+}
+
 // TestKillRestartResumeByteIdentical is the durability contract end to end:
 // a server killed mid-sweep resumes the job from its WAL on the next boot,
 // and the figures are byte-identical to a run that was never interrupted.

@@ -20,9 +20,8 @@ type System struct {
 	l3    *cache          // shared L3
 	mem   *dram
 
-	nextHW      int          // round-robin hardware-thread placement cursor
-	nextMem     int64        // bump allocator for model addresses
-	freeThreads []*CPUThread // finished spawned threads, recycled by the next spawn
+	nextHW  int   // round-robin hardware-thread placement cursor
+	nextMem int64 // bump allocator for model addresses
 
 	// prefetchReady holds the DRAM completion time of lines that were
 	// prefetched into the caches but whose transfer may still be in
@@ -100,41 +99,15 @@ func (s *System) Run(root func(*CPUThread)) (sim.Time, error) {
 	return s.Eng.Now() - start, nil
 }
 
-// acquireThread takes a thread from the pool, or builds one, and pins it to
-// the next hardware-thread slot in round-robin order.
-//
-//emu:hotpath pool hit is the steady state; the miss path is factored into newThread
-func (s *System) acquireThread() *CPUThread {
-	n := len(s.freeThreads)
-	if n == 0 {
-		return s.newThread()
-	}
-	t := s.freeThreads[n-1]
-	s.freeThreads[n-1] = nil
-	s.freeThreads = s.freeThreads[:n-1]
-	s.resetThread(t)
-	return t
-}
-
-// newThread builds a thread on the next hardware-thread slot.
-//
-//emu:cold pool miss: runs once per pool-high-water thread
+// newThread builds a software thread pinned to the next hardware-thread
+// slot in round-robin order.
 func (s *System) newThread() *CPUThread {
-	t := &CPUThread{}
-	s.resetThread(t)
-	return t
-}
-
-// resetThread clears t for a new software thread and claims the next
-// hardware-thread slot for it.
-//
-//emu:hotpath
-func (s *System) resetThread(t *CPUThread) {
-	*t = CPUThread{sys: s, core: s.nextHW % s.Cfg.Cores, wcLine: -1}
+	t := &CPUThread{sys: s, core: s.nextHW % s.Cfg.Cores, wcLine: -1}
 	s.nextHW = (s.nextHW + 1) % s.Cfg.HardwareThreads()
 	for i := range t.streams {
 		t.streams[i] = -2 // no stream tracks line -2 or -1
 	}
+	return t
 }
 
 // streamTableSize is how many concurrent sequential streams the per-thread
@@ -193,7 +166,7 @@ type CPUThread struct {
 
 // StepProc is the sim.Stepper of a spawned thread. It runs the whole
 // lifecycle: the body, then the implicit end-of-body sync, then the
-// parent's join, then exit, returning the thread to the system's pool.
+// parent's join, then exit.
 //
 //emu:nohandoff
 func (t *CPUThread) StepProc(p *sim.Proc) {
@@ -209,8 +182,6 @@ func (t *CPUThread) StepProc(p *sim.Proc) {
 		}
 	}
 	t.parent.Done()
-	s := t.sys
-	s.freeThreads = append(s.freeThreads, t)
 	p.Exit()
 }
 
@@ -221,7 +192,7 @@ func (t *CPUThread) finishOp() {
 	if t.op == opSpawn {
 		s := t.sys
 		t.children.Add(1)
-		child := s.acquireThread()
+		child := s.newThread()
 		child.body = t.spawnBody
 		child.parent = &t.children
 		child.p = s.Eng.SpawnContAt(t.p.Now()+s.Cfg.SpawnOverhead, "cpu", child)
