@@ -173,8 +173,7 @@ type job struct {
 	version int
 	ping    chan struct{} // closed and replaced on every update
 	cancel  context.CancelFunc
-	// claimed is set, under mu, by whichever of a worker starting the job
-	// and Cancel canceling it takes a queued job first; the other backs off.
+	// claimed is set, under mu, once a queued job is taken (see claim).
 	claimed bool
 	// admitted is the byte charge this job holds against the server's
 	// in-flight budget; guarded by Server.mu, not job.mu.
@@ -186,6 +185,22 @@ type job struct {
 
 func newJob(rec Job) *job {
 	return &job{rec: rec, ping: make(chan struct{})}
+}
+
+// claim takes a queued job for exactly one of a worker starting it (which
+// passes the run's cancel func to store), Cancel canceling it, and its
+// leader completing it as a cache hit, and reports whether the caller won.
+func (j *job) claim(cancel context.CancelFunc) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.rec.State != StateQueued || j.claimed {
+		return false
+	}
+	j.claimed = true
+	if cancel != nil {
+		j.cancel = cancel
+	}
+	return true
 }
 
 // snapshot returns a copy of the record and its version.
@@ -574,16 +589,9 @@ func (s *Server) Cancel(id string) (Job, error) {
 	if !ok {
 		return Job{}, fmt.Errorf("jobserver: unknown job %q", id)
 	}
-	j.mu.Lock()
-	key := j.rec.Key
-	queued := j.rec.State == StateQueued && !j.claimed
-	if queued {
-		j.claimed = true
-	}
-	cancel := j.cancel
-	j.mu.Unlock()
-	switch {
-	case queued:
+	if j.claim(nil) {
+		cur, _ := j.snapshot()
+		key := cur.Key
 		// Accounting first, as in finish: a waiter woken by the canceled
 		// state must already see it. A canceled follower also leaves its
 		// leader's group, so the leader's result does not complete it.
@@ -606,12 +614,17 @@ func (s *Server) Cancel(id string) (Job, error) {
 		if err := s.saveJob(j); err != nil {
 			return rec, err
 		}
-	case cancel != nil:
+	} else {
 		// Running, or claimed by a worker that is about to run it: the
 		// engine Interrupt hook aborts the simulation and the worker
 		// records the terminal state. (Canceling a finished job's context
 		// is a no-op.)
-		cancel()
+		j.mu.Lock()
+		cancel := j.cancel
+		j.mu.Unlock()
+		if cancel != nil {
+			cancel()
+		}
 	}
 	rec, _ := j.snapshot()
 	return rec, nil
@@ -675,15 +688,10 @@ func (s *Server) worker() {
 func (s *Server) runJob(j *job) {
 	ctx, cancel := context.WithCancel(s.root)
 	defer cancel()
-	j.mu.Lock()
-	if j.rec.State != StateQueued || j.claimed {
-		j.mu.Unlock()
+	if !j.claim(cancel) {
 		return // canceled while waiting in the queue
 	}
-	j.claimed = true
-	j.cancel = cancel
-	rec := j.rec
-	j.mu.Unlock()
+	rec, _ := j.snapshot()
 
 	s.mu.Lock()
 	s.stats.Running++
@@ -801,12 +809,14 @@ func (s *Server) settleFollowers(j *job, data []byte) {
 		for _, id := range ids {
 			s.mu.Lock()
 			f, ok := s.jobs[id]
+			s.mu.Unlock()
+			if !ok || !f.claim(nil) {
+				continue // canceled since the group was taken
+			}
+			s.mu.Lock()
 			s.stats.CacheHits++
 			s.stats.Completed++
 			s.mu.Unlock()
-			if !ok {
-				continue
-			}
 			f.set(func(r *Job) {
 				r.State = StateDone
 				r.Source = "cache"
