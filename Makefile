@@ -36,16 +36,18 @@ bench:
 # Benchmark iterations for archives and the gate; the archived baselines in
 # the repo were recorded with 5 (see DESIGN.md §13).
 BENCH_ITERS ?= 5
-# The baseline the gate diffs against: BENCH_engine5.json is the newest
-# archive (every Xeon-model worker a continuation proc, recency-ordered
-# cache sets; only its Xeon rows are re-measured, its Emu rows are
-# engine4's, see DESIGN.md §13); BENCH_engine4.json (one proc host:
-# closure bodies on coroutines behind the Stepper dispatch path),
+# The baseline the gate diffs against: BENCH_engine6.json is the newest
+# archive (Emu SpMV on continuation procs; only its three Fig9aSpMVEmu
+# rows are re-measured, every other row is engine5's, see DESIGN.md §13);
+# BENCH_engine5.json (every Xeon-model worker a continuation proc,
+# recency-ordered cache sets; Xeon rows re-measured, Emu rows engine4's),
+# BENCH_engine4.json (one proc host: closure bodies on coroutines behind
+# the Stepper dispatch path),
 # BENCH_engine3.json (continuation engine beside the goroutine shim),
 # BENCH_engine2.json (post-optimization goroutine engine) and
 # BENCH_engine.json (pre-optimization) are kept so the trajectory stays
 # visible.
-BENCH_BASELINE ?= BENCH_engine5.json
+BENCH_BASELINE ?= BENCH_engine6.json
 
 # The gated benchmark set: the per-figure benchmarks plus the
 # threadlet-scale stress run (10^6 continuation procs with a hard

@@ -6,14 +6,15 @@ import (
 	"emuchick/internal/machine"
 )
 
-// Continuation-form spawn trees: SpawnWorkers and SpawnGrouped restated as
-// resumable state machines over machine.CThread. Each machine performs the
-// IDENTICAL sequence of spawn/sync operations as its closure twin — same
-// tree shape, same spawn order, same explicit syncs — so a kernel ported to
-// the continuation engine produces a bit-identical event stream. The
-// recursive helpers (spawnRangeLocal and friends) become iterative drivers:
-// the caller-side half of each recursion is a loop that shrinks its range,
-// and the spawned-side half is a coordinator CBody carrying the subrange.
+// Continuation-form spawn trees: SpawnWorkers, SpawnGrouped and ParallelFor
+// restated as resumable state machines over machine.CThread. Each machine
+// performs the IDENTICAL sequence of spawn/sync operations as its closure
+// twin — same tree shape, same spawn order, same explicit syncs — so a
+// kernel ported to the continuation engine produces a bit-identical event
+// stream. The recursive helpers (spawnRangeLocal and friends) become
+// iterative drivers: the caller-side half of each recursion is a loop that
+// shrinks its range, and the spawned-side half is a coordinator CBody
+// carrying the subrange.
 
 // contSpawner is one resumable caller-side spawn loop. drive issues spawns
 // until it parks (parked=true: the enclosing Step must return) or until
@@ -315,4 +316,78 @@ func (g *Grouped) Drive(t *machine.CThread) (parked bool) {
 			return false
 		}
 	}
+}
+
+// ParFor is ParallelFor for the continuation engine, with the same Drive
+// protocol as Workers. It builds parForRange's exact tree: while the range
+// is wider than grain, spawn a coordinator for the lower half (which runs
+// the same loop over its half, then an explicit sync) and keep the upper
+// half; the final leaf runs inline on the driving thread, and the closing
+// sync joins the coordinators. mk(lo, hi) builds the leaf body for one
+// subrange; a leaf that parks parks the driving thread, and Drive resumes
+// it on the next call.
+type ParFor struct {
+	lo, hi, grain int
+	mk            func(lo, hi int) machine.CBody
+	leaf          machine.CBody
+	phase         uint8 // 0 split, 1 leaf running, 2 sync issued, 3 done
+}
+
+// NewParFor prepares a continuation-form ParallelFor over [0, n) in
+// subranges of at most grain iterations (grain <= 0 means 1).
+func NewParFor(n, grain int, mk func(lo, hi int) machine.CBody) *ParFor {
+	if grain <= 0 {
+		grain = 1
+	}
+	p := &ParFor{hi: n, grain: grain, mk: mk}
+	if n <= 0 {
+		p.phase = 3
+	}
+	return p
+}
+
+// Drive advances the loop; see Workers.Drive for the protocol.
+//
+//emu:nohandoff
+func (p *ParFor) Drive(t *machine.CThread) (parked bool) {
+	for {
+		switch p.phase {
+		case 0:
+			if p.hi-p.lo <= p.grain {
+				//lint:allow nohandoff mk is the kernel's leaf constructor, a plain allocation with no park
+				p.leaf = p.mk(p.lo, p.hi)
+				p.phase = 1
+				continue
+			}
+			mid := p.lo + (p.hi-p.lo)/2
+			lower := &ParFor{lo: p.lo, hi: mid, grain: p.grain, mk: p.mk}
+			p.lo = mid
+			if t.CSpawn(lower) {
+				return true
+			}
+		case 1:
+			//lint:allow nohandoff leaf bodies are CBody state machines with their own //emu:nohandoff Step
+			if !p.leaf.Step(t) {
+				return true
+			}
+			p.leaf = nil
+			p.phase = 2
+			if t.CSync() {
+				return true
+			}
+		case 2:
+			p.phase = 3
+		case 3:
+			return false
+		}
+	}
+}
+
+// Step runs a lower-half coordinator spawned by Drive: its own subrange,
+// then the explicit sync.
+//
+//emu:nohandoff CBody contract: park state, never the goroutine
+func (p *ParFor) Step(t *machine.CThread) bool {
+	//lint:allow nohandoff Drive's only indirect calls are the mk leaf constructor and the leaf's own CBody Step
+	return !p.Drive(t)
 }

@@ -1,6 +1,7 @@
 package cilk
 
 import (
+	"fmt"
 	"testing"
 
 	"emuchick/internal/machine"
@@ -192,4 +193,125 @@ func TestContWorkersZeroAndNegative(t *testing.T) {
 			t.Fatalf("workers=%d spawned %d threads", workers, s.Counters.ThreadsSpawned)
 		}
 	}
+}
+
+// ctRangeLeaf is the continuation twin of the ParallelFor test leaf: for
+// each index, load its striped word (migrating when it is remote) and
+// compute.
+type ctRangeLeaf struct {
+	arr    memsys.Striped
+	i, hi  int
+	loaded bool
+}
+
+func (b *ctRangeLeaf) Step(t *machine.CThread) bool {
+	for b.i < b.hi {
+		if !b.loaded {
+			b.loaded = true
+			if t.CLoad(b.arr.At(b.i % b.arr.Len())) {
+				return false
+			}
+		}
+		b.loaded = false
+		b.i++
+		if t.CCompute(3) {
+			return false
+		}
+	}
+	return true
+}
+
+func goRangeLeaf(arr memsys.Striped) func(*machine.Thread, int, int) {
+	return func(w *machine.Thread, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			w.Load(arr.At(i % arr.Len()))
+			w.Compute(3)
+		}
+	}
+}
+
+// ctParForRoot drives a ParFor, then loads word 0 — the load pins the point
+// where Drive hands control back to the enclosing body.
+type ctParForRoot struct {
+	pf   *ParFor
+	arr  memsys.Striped
+	done bool
+}
+
+func (b *ctParForRoot) Step(t *machine.CThread) bool {
+	if !b.done {
+		if b.pf.Drive(t) {
+			return false
+		}
+		b.done = true
+		if t.CLoad(b.arr.At(0)) {
+			return false
+		}
+	}
+	return true
+}
+
+// ctParForAt spawns one ParFor coordinator per listed nodelet, each over its
+// own n iterations, like the per-nodelet coordinators of a blocked kernel.
+type ctParForAt struct {
+	arr      memsys.Striped
+	nls      []int
+	n, grain int
+	next     int
+}
+
+func (b *ctParForAt) Step(t *machine.CThread) bool {
+	for b.next < len(b.nls) {
+		nl := b.nls[b.next]
+		b.next++
+		pf := NewParFor(b.n, b.grain, func(lo, hi int) machine.CBody {
+			return &ctRangeLeaf{arr: b.arr, i: lo, hi: hi}
+		})
+		if t.CSpawnAt(nl, pf) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestParForMatchesParallelFor(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 33, 100} {
+		for _, grain := range []int{0, 1, 3, 16, 200} {
+			n, grain := n, grain
+			runEnginePair(t, fmt.Sprintf("n%d/grain%d", n, grain),
+				func(s *machine.System) func(*machine.Thread) {
+					arr := s.Mem.AllocStriped(s.Nodelets())
+					return func(th *machine.Thread) {
+						ParallelFor(th, n, grain, goRangeLeaf(arr))
+						th.Load(arr.At(0))
+					}
+				},
+				func(s *machine.System) machine.CBody {
+					arr := s.Mem.AllocStriped(s.Nodelets())
+					pf := NewParFor(n, grain, func(lo, hi int) machine.CBody {
+						return &ctRangeLeaf{arr: arr, i: lo, hi: hi}
+					})
+					return &ctParForRoot{pf: pf, arr: arr}
+				})
+		}
+	}
+}
+
+func TestParForSpawnedCoordinatorsMatchParallelFor(t *testing.T) {
+	nls := []int{2, 5, 7}
+	const n, grain = 29, 4
+	runEnginePair(t, "coordinators",
+		func(s *machine.System) func(*machine.Thread) {
+			arr := s.Mem.AllocStriped(s.Nodelets())
+			return func(th *machine.Thread) {
+				for _, nl := range nls {
+					th.SpawnAt(nl, func(c *machine.Thread) {
+						ParallelFor(c, n, grain, goRangeLeaf(arr))
+					})
+				}
+			}
+		},
+		func(s *machine.System) machine.CBody {
+			return &ctParForAt{arr: s.Mem.AllocStriped(s.Nodelets()), nls: nls, n: n, grain: grain}
+		})
 }

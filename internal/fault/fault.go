@@ -22,6 +22,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -111,6 +112,9 @@ func (p *Plan) Validate() error {
 		return nil
 	}
 	for i, s := range append(append([]Slowdown{}, p.Cores...), p.Channels...) {
+		if !finite(s.Factor) {
+			return fmt.Errorf("fault: slowdown %d: factor %v is not finite", i, s.Factor)
+		}
 		if s.Factor < 1 {
 			return fmt.Errorf("fault: slowdown %d: factor %v < 1", i, s.Factor)
 		}
@@ -119,6 +123,9 @@ func (p *Plan) Validate() error {
 		}
 	}
 	for i, l := range p.Links {
+		if !finite(l.Factor) {
+			return fmt.Errorf("fault: link fault %d: factor %v is not finite", i, l.Factor)
+		}
 		if l.Factor < 0 {
 			return fmt.Errorf("fault: link fault %d: negative factor", i)
 		}
@@ -148,6 +155,9 @@ func (p *Plan) Validate() error {
 	}
 	return nil
 }
+
+// finite reports whether f is neither NaN nor infinite.
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // Resolved is a plan bound to one machine shape: per-nodelet scale tables
 // and per-node window lists the machine layer consults on its fault paths.

@@ -203,6 +203,13 @@ func (j *job) claim(cancel context.CancelFunc) bool {
 	return true
 }
 
+// waiting reports whether the job is still queued and unclaimed.
+func (j *job) waiting() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.rec.State == StateQueued && !j.claimed
+}
+
 // snapshot returns a copy of the record and its version.
 func (j *job) snapshot() (Job, int) {
 	j.mu.Lock()
@@ -610,7 +617,11 @@ func (s *Server) Cancel(id string) (Job, error) {
 			now := time.Now().UTC()
 			r.FinishedAt = &now
 		})
-		s.promoteFollowers(id)
+		s.mu.Lock()
+		ids := s.followers[id]
+		delete(s.followers, id)
+		s.promoteLocked(ids)
+		s.mu.Unlock()
 		if err := s.saveJob(j); err != nil {
 			return rec, err
 		}
@@ -791,8 +802,8 @@ func (s *Server) finish(j *job, bump func(*Stats), mut func(*Job)) {
 
 // settleFollowers resolves the single-flight group after its leader reached
 // a terminal state: with a result, every follower completes as a cache hit;
-// without one, the first follower is promoted to a fresh leader and
-// re-enqueued (the rest keep following it).
+// without one, the first live follower is promoted to a fresh leader and
+// enqueued (the rest keep following it).
 func (s *Server) settleFollowers(j *job, data []byte) {
 	rec, _ := j.snapshot()
 	s.mu.Lock()
@@ -801,68 +812,56 @@ func (s *Server) settleFollowers(j *job, data []byte) {
 	}
 	ids := s.followers[rec.ID]
 	delete(s.followers, rec.ID)
-	s.mu.Unlock()
-	if len(ids) == 0 {
+	if data == nil {
+		s.promoteLocked(ids)
+		s.mu.Unlock()
 		return
 	}
-	if data != nil {
-		for _, id := range ids {
-			s.mu.Lock()
-			f, ok := s.jobs[id]
-			s.mu.Unlock()
-			if !ok || !f.claim(nil) {
-				continue // canceled since the group was taken
-			}
-			s.mu.Lock()
-			s.stats.CacheHits++
-			s.stats.Completed++
-			s.mu.Unlock()
-			f.set(func(r *Job) {
-				r.State = StateDone
-				r.Source = "cache"
-				now := time.Now().UTC()
-				r.FinishedAt = &now
-			})
-			_ = s.saveJob(f)
-		}
-		return
-	}
-	s.promoteFollowers(rec.ID)
-	// Re-enqueue the promoted leader through the normal path.
-	s.mu.Lock()
-	if leader, ok := s.active[rec.Key]; ok {
-		if lj, exists := s.jobs[leader]; exists {
-			if !s.enqueueLocked(lj) {
-				delete(s.active, rec.Key)
-			}
-		}
-	}
 	s.mu.Unlock()
+	for _, id := range ids {
+		s.mu.Lock()
+		f, ok := s.jobs[id]
+		s.mu.Unlock()
+		if !ok || !f.claim(nil) {
+			continue // canceled since the group was taken
+		}
+		s.mu.Lock()
+		s.stats.CacheHits++
+		s.stats.Completed++
+		s.mu.Unlock()
+		f.set(func(r *Job) {
+			r.State = StateDone
+			r.Source = "cache"
+			now := time.Now().UTC()
+			r.FinishedAt = &now
+		})
+		_ = s.saveJob(f)
+	}
 }
 
-// promoteFollowers makes the first follower of the given (terminal) leader
-// the new active leader for its key. Caller must not hold s.mu.
-func (s *Server) promoteFollowers(leaderID string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ids := s.followers[leaderID]
-	if len(ids) == 0 {
-		delete(s.followers, leaderID)
-		return
-	}
-	delete(s.followers, leaderID)
-	next := ids[0]
-	if j, ok := s.jobs[next]; ok {
+// promoteLocked takes the follower ids of a terminal leader, already removed
+// from s.followers, makes the first one still waiting the active leader for
+// its key, enqueues it, and hands it the rest as its own followers. Ids
+// canceled since the group was taken are skipped. Caller holds s.mu.
+func (s *Server) promoteLocked(ids []string) {
+	for len(ids) > 0 {
+		next := ids[0]
+		ids = ids[1:]
+		j, ok := s.jobs[next]
+		if !ok || !j.waiting() {
+			continue
+		}
 		rec, _ := j.snapshot()
 		s.active[rec.Key] = next
-		if len(ids) > 1 {
-			s.followers[next] = ids[1:]
+		if len(ids) > 0 {
+			s.followers[next] = ids
 		}
 		// A promoted follower inherits its leader's admission: it was
 		// accepted as a follower (free), so the charge lands now, without a
 		// fresh admission check — admitted work is never shed retroactively.
 		s.chargeLocked(j, specCost(rec.Spec))
 		s.enqueueLocked(j)
+		return
 	}
 }
 

@@ -505,3 +505,57 @@ func TestParseJobID(t *testing.T) {
 		t.Fatal("malformed id parsed")
 	}
 }
+
+// TestCanceledRunningLeaderPromotesFollower: when a running single-flight
+// leader is canceled, its follower is promoted to leader, runs to done, and
+// every job is counted exactly once.
+func TestCanceledRunningLeaderPromotesFollower(t *testing.T) {
+	block := make(chan struct{})
+	started := make(chan struct{})
+	var once sync.Once
+	srv := newTestServer(t, Config{
+		Workers:        1,
+		ParallelPerJob: 1,
+		CellHook: func(id string, cells int) {
+			once.Do(func() { close(started) })
+			<-block
+		},
+	})
+	defer srv.Close()
+
+	leader, err := srv.Submit(quickExperiment())
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started // the leader is wedged mid-sweep
+	follower, err := srv.Submit(quickExperiment())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Cancel(leader.ID); err != nil {
+		t.Fatal(err)
+	}
+	close(block)
+	if got := waitTerminal(t, srv, leader.ID); got.State != StateCanceled {
+		t.Fatalf("leader ended %s: %s", got.State, got.Error)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		got, _ := srv.Get(follower.ID)
+		if got.State == StateDone {
+			break
+		}
+		if got.State.terminal() || time.Now().After(deadline) {
+			t.Fatalf("follower is %s, want done: %s", got.State, got.Error)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	srv.Close()
+	st := srv.Stats()
+	if st.Canceled != 1 || st.Completed != 1 || st.Simulated != 1 || st.CacheHits != 0 {
+		t.Fatalf("stats = %+v, want 1 canceled, 1 completed by simulation", st)
+	}
+	if st.Queued != 0 || st.Running != 0 {
+		t.Fatalf("stats = %+v, want nothing queued or running", st)
+	}
+}

@@ -7,12 +7,12 @@ import (
 	"emuchick/internal/sim"
 )
 
-// Continuation-form kernel bodies: the spawn-heavy kernels (STREAM,
-// pointer chase, ping-pong) restated as machine.CBody state machines with
-// operation sequences identical to their closure twins. A kernel run
-// either way produces the same simulated times, counters, traces, and
-// memory — the machine.Thread closures remain in the kernel files as the
-// reference the equivalence tests diff against.
+// Continuation-form kernel bodies: the Emu kernels restated as
+// machine.CBody state machines, each with the operation sequence of the
+// straight-line machine.Thread code it replaced. STREAM, pointer chase and
+// ping-pong keep their closure twins in the kernel files as the reference
+// their equivalence tests diff against; SpMV and GUPS exist only in this
+// form, pinned by TestEmuSpMVGUPSMatchRecordedResults.
 
 // timedRoot wraps a resumable spawn tree as a run's root body and records
 // the elapsed time from body start to the tree's final join — the same
@@ -33,7 +33,7 @@ func (r *timedRoot) Step(t *machine.CThread) bool {
 		r.t0 = t.Now()
 	}
 	if !r.done {
-		//lint:allow nohandoff drive is bound at construction to cilk Workers.Drive or Grouped.Drive, both pure CThread state machines
+		//lint:allow nohandoff drive is bound at construction to a cilk Drive method or spawnEach.drive, all pure CThread state machines
 		if r.drive(t) {
 			return false
 		}
@@ -41,6 +41,32 @@ func (r *timedRoot) Step(t *machine.CThread) bool {
 		*r.out = t.Now() - r.t0
 	}
 	return true
+}
+
+// spawnEach is the root loop `for k := 0; k < n; k++ { root.SpawnAt(at(k)) };
+// root.Sync()` as a resumable driver: at(k) names the nodelet and body of
+// the k-th child, and a nil body skips k.
+type spawnEach struct {
+	n, k   int
+	at     func(k int) (nl int, body machine.CBody)
+	synced bool
+}
+
+//emu:nohandoff
+func (s *spawnEach) drive(t *machine.CThread) (parked bool) {
+	for s.k < s.n {
+		k := s.k
+		s.k++
+		//lint:allow nohandoff at is the kernel's child constructor, a plain allocation with no park
+		if nl, body := s.at(k); body != nil && t.CSpawnAt(nl, body) {
+			return true
+		}
+	}
+	if !s.synced {
+		s.synced = true
+		return t.CSync()
+	}
+	return false
 }
 
 // streamShared is the per-run state every STREAM worker reads.
@@ -192,56 +218,6 @@ func (w *pingWorker) Step(t *machine.CThread) bool {
 				return false
 			}
 		}
-	}
-	return true
-}
-
-// pingSpawner fans the ping-pong workers out from the root, all on nodelet A.
-type pingSpawner struct {
-	cfg PingPongConfig
-	k   int
-}
-
-func (s *pingSpawner) drive(t *machine.CThread) bool {
-	for s.k < s.cfg.Threads {
-		s.k++
-		w := &pingWorker{a: s.cfg.NodeletA, b: s.cfg.NodeletB, iters: s.cfg.Iterations}
-		if t.CSpawnAt(s.cfg.NodeletA, w) {
-			return false
-		}
-	}
-	return true
-}
-
-// pingContRoot builds the continuation root body for one ping-pong run:
-// spawn every worker, explicit sync, record elapsed — the closure root's
-// exact sequence.
-type pingContRoot struct {
-	sp      pingSpawner
-	out     *sim.Time
-	started bool
-	synced  bool
-	t0      sim.Time
-}
-
-//emu:nohandoff CBody contract: park state, never the goroutine
-func (r *pingContRoot) Step(t *machine.CThread) bool {
-	if !r.started {
-		r.started = true
-		r.t0 = t.Now()
-	}
-	if !r.sp.drive(t) {
-		return false
-	}
-	if !r.synced {
-		r.synced = true
-		if t.CSync() {
-			return false
-		}
-	}
-	if r.out != nil {
-		*r.out = t.Now() - r.t0
-		r.out = nil
 	}
 	return true
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"emuchick/internal/machine"
+	"emuchick/internal/memsys"
 	"emuchick/internal/metrics"
 	"emuchick/internal/workload"
 )
@@ -39,24 +40,14 @@ func GUPS(mcfg machine.Config, cfg GUPSConfig, opts ...RunOption) (metrics.Resul
 
 	nodelets := sys.Nodelets()
 	var res metrics.Result
-	_, err := sys.Run(func(root *machine.Thread) {
-		t0 := root.Now()
-		for k := 0; k < cfg.Threads; k++ {
-			k := k
-			lo, hi := share(cfg.Updates, k, cfg.Threads)
-			if lo == hi {
-				continue
-			}
-			root.SpawnAt(k%nodelets, func(w *machine.Thread) {
-				for j := lo; j < hi; j++ {
-					w.RemoteAdd(table.At(stream[j]), 1)
-					w.Compute(4)
-				}
-			})
+	workers := &spawnEach{n: cfg.Threads, at: func(k int) (int, machine.CBody) {
+		lo, hi := share(cfg.Updates, k, cfg.Threads)
+		if lo == hi {
+			return 0, nil
 		}
-		root.Sync()
-		res.Elapsed = root.Now() - t0
-	})
+		return k % nodelets, &gupsWorker{table: table, stream: stream, j: lo, hi: hi}
+	}}
+	_, err := sys.RunCont(&timedRoot{drive: workers.drive, out: &res.Elapsed})
 	if err != nil {
 		return metrics.Result{}, err
 	}
@@ -70,4 +61,31 @@ func GUPS(mcfg machine.Config, cfg GUPSConfig, opts ...RunOption) (metrics.Resul
 	}
 	res.Bytes = int64(cfg.Updates) * 8
 	return res, nil
+}
+
+// gupsWorker applies updates [j, hi) of the stream: one posted atomic add
+// and the loop overhead per update.
+type gupsWorker struct {
+	table  memsys.Striped
+	stream []int
+	j, hi  int
+	added  bool
+}
+
+//emu:nohandoff CBody contract: park state, never the goroutine
+func (w *gupsWorker) Step(t *machine.CThread) bool {
+	for w.j < w.hi {
+		if !w.added {
+			w.added = true
+			if t.CRemoteAdd(w.table.At(w.stream[w.j]), 1) {
+				return false
+			}
+		}
+		w.added = false
+		w.j++
+		if t.CCompute(4) {
+			return false
+		}
+	}
+	return true
 }

@@ -59,7 +59,10 @@ func PingPong(mcfg machine.Config, cfg PingPongConfig, opts ...RunOption) (PingP
 			out.Elapsed = root.Now() - t0
 		})
 	} else {
-		_, err = sys.RunCont(&pingContRoot{sp: pingSpawner{cfg: cfg}, out: &out.Elapsed})
+		workers := &spawnEach{n: cfg.Threads, at: func(int) (int, machine.CBody) {
+			return cfg.NodeletA, &pingWorker{a: cfg.NodeletA, b: cfg.NodeletB, iters: cfg.Iterations}
+		}}
+		_, err = sys.RunCont(&timedRoot{drive: workers.drive, out: &out.Elapsed})
 	}
 	if err != nil {
 		return PingPongResult{}, err

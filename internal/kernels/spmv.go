@@ -6,6 +6,7 @@ import (
 
 	"emuchick/internal/cilk"
 	"emuchick/internal/machine"
+	"emuchick/internal/memsys"
 	"emuchick/internal/metrics"
 	"emuchick/internal/sim"
 	"emuchick/internal/sparse"
@@ -140,27 +141,157 @@ type metricsTime struct {
 	y vector
 }
 
-// makeXLoader allocates the input vector under the requested placement and
-// returns the timed accessor kernels use for x[col]. Replication (the
-// default and the paper's recommendation) makes every x read local;
-// striping makes x[col] live on nodelet col mod N, so reading it migrates.
-func makeXLoader(sys *machine.System, xv []float64, stripeX bool) func(*machine.Thread, int) float64 {
+// xVector is the input vector under its placement: one flat copy (local or
+// 1D-striped, x[c] at flat.At(c)), or a replica per nodelet, where a thread
+// reads the copy on the nodelet it resides on. Replication (the default and
+// the paper's recommendation) makes every x read local; striping makes x[c]
+// live on nodelet c mod N, so reading it migrates.
+type xVector struct {
+	flat vector
+	rep  memsys.Replicated
+}
+
+// at is the address of x[c] for a thread resident on nodelet nl.
+func (x *xVector) at(nl, c int) memsys.Addr {
+	if x.flat != nil {
+		return x.flat.At(c)
+	}
+	return x.rep.At(nl, c)
+}
+
+// placeX allocates and fills x as a striped array (stripeX) or replicated
+// on every nodelet.
+func placeX(sys *machine.System, xv []float64, stripeX bool) xVector {
 	if stripeX {
 		xs := sys.Mem.AllocStriped(len(xv))
 		for c := range xv {
 			sys.Mem.Write(xs.At(c), math.Float64bits(xv[c]))
 		}
-		return func(w *machine.Thread, c int) float64 {
-			return math.Float64frombits(w.Load(xs.At(c)))
-		}
+		return xVector{flat: xs}
 	}
 	xr := sys.Mem.AllocReplicated(len(xv))
 	for c := range xv {
 		xr.Broadcast(sys.Mem, c, math.Float64bits(xv[c]))
 	}
-	return func(w *machine.Thread, c int) float64 {
-		return math.Float64frombits(w.Load(xr.At(w.Nodelet(), c)))
+	return xVector{rep: xr}
+}
+
+// spmvRows is what one family of SpMV leaves reads. In the local and 1D
+// layouts a leaf's indices are rows, and ext holds the CSR row pointers:
+// row i spans [ext[i], ext[i+1]). In the 2D layout the indices are slots
+// of one nodelet's shard, ext holds an (offset, count) pair per slot, and
+// rows maps a slot to its row of y.
+type spmvRows struct {
+	ext    vector
+	pairs  bool
+	ci, vv vector
+	x      *xVector
+	y      memsys.Local
+	rows   []int
+}
+
+// leaf builds the body for indices [lo, hi).
+func (s *spmvRows) leaf(lo, hi int) machine.CBody {
+	return &spmvLeaf{sh: s, i: lo, hi: hi}
+}
+
+// spmvLeaf multiplies its rows: per row, two extent loads; per nonzero, a
+// column, a value and an x load plus the multiply-add; then the posted y
+// store and the row overhead.
+type spmvLeaf struct {
+	sh     *spmvRows
+	i, hi  int
+	k, end uint64
+	col    int
+	v, sum float64
+	pc     int
+}
+
+//emu:nohandoff CBody contract: park state, never the goroutine
+func (w *spmvLeaf) Step(t *machine.CThread) bool {
+	s := w.sh
+	for {
+		switch w.pc {
+		case 0: // row head: the row's first extent word
+			if w.i >= w.hi {
+				return true
+			}
+			w.pc = 1
+			if t.CLoad(s.ext.At(w.extIndex())) {
+				return false
+			}
+		case 1:
+			w.k = t.Value()
+			w.pc = 2
+			if t.CLoad(s.ext.At(w.extIndex() + 1)) {
+				return false
+			}
+		case 2:
+			w.end = t.Value()
+			if s.pairs {
+				w.end += w.k
+			}
+			w.sum = 0
+			w.pc = 3
+		case 3: // nonzero head
+			if w.k >= w.end {
+				row := w.i
+				if s.rows != nil {
+					row = s.rows[w.i]
+				}
+				w.pc = 7
+				if t.CStore(s.y.At(row), math.Float64bits(w.sum)) {
+					return false
+				}
+				continue
+			}
+			w.pc = 4
+			if t.CLoad(s.ci.At(int(w.k))) {
+				return false
+			}
+		case 4:
+			w.col = int(t.Value())
+			w.pc = 5
+			if t.CLoad(s.vv.At(int(w.k))) {
+				return false
+			}
+		case 5:
+			w.v = math.Float64frombits(t.Value())
+			w.pc = 6
+			if t.CLoad(s.x.at(t.Nodelet(), w.col)) {
+				return false
+			}
+		case 6:
+			w.sum += w.v * math.Float64frombits(t.Value())
+			w.k++
+			w.pc = 3
+			if t.CCompute(spmvNNZCycles) {
+				return false
+			}
+		case 7: // y stored: row overhead
+			w.i++
+			w.pc = 0
+			if t.CCompute(spmvRowCycles) {
+				return false
+			}
+		}
 	}
+}
+
+// extIndex is the index of the current row's first extent word.
+func (w *spmvLeaf) extIndex() int {
+	if w.sh.pairs {
+		return 2 * w.i
+	}
+	return w.i
+}
+
+// runRows runs one timed ParFor over every row of sh from the root thread.
+func runRows(sys *machine.System, sh *spmvRows, rows, grainRows int) (sim.Time, error) {
+	var elapsed sim.Time
+	pf := cilk.NewParFor(rows, grainRows, sh.leaf)
+	_, err := sys.RunCont(&timedRoot{drive: pf.Drive, out: &elapsed})
+	return elapsed, err
 }
 
 // spmvLocal runs the all-on-nodelet-0 layout.
@@ -180,38 +311,21 @@ func spmvLocal(sys *machine.System, m *sparse.CSR, xv []float64, grainRows int) 
 	for c := range xv {
 		sys.Mem.Write(xa.At(c), math.Float64bits(xv[c]))
 	}
-	var out metricsTime
-	out.y = ya
-	_, err := sys.Run(func(root *machine.Thread) {
-		t0 := root.Now()
-		cilk.ParallelFor(root, m.Rows, grainRows, func(w *machine.Thread, lo, hi int) {
-			for r := lo; r < hi; r++ {
-				kLo := w.Load(rp.At(r))
-				kHi := w.Load(rp.At(r + 1))
-				var sum float64
-				for k := kLo; k < kHi; k++ {
-					c := w.Load(ci.At(int(k)))
-					v := math.Float64frombits(w.Load(vv.At(int(k))))
-					x := math.Float64frombits(w.Load(xa.At(int(c))))
-					sum += v * x
-					w.Compute(spmvNNZCycles)
-				}
-				w.Store(ya.At(r), math.Float64bits(sum))
-				w.Compute(spmvRowCycles)
-			}
-		})
-		out.t = root.Now() - t0
-	})
-	return out, err
+	x := xVector{flat: xa}
+	t, err := runRows(sys, &spmvRows{ext: rp, ci: ci, vv: vv, x: &x, y: ya}, m.Rows, grainRows)
+	return metricsTime{t: t, y: ya}, err
 }
 
 // spmv1D runs the word-striped layout: matrix arrays striped, x replicated
-// (or striped under the ablation), y on nodelet 0.
+// (or striped under the ablation), y on nodelet 0. A thread migrates to
+// nodelet r mod N for each row pointer; ColIdx and Val share stripe indices,
+// so each nonzero is one migration followed by a local load; the y store is
+// posted to nodelet 0.
 func spmv1D(sys *machine.System, m *sparse.CSR, xv []float64, grainRows, nodelets int, stripeX bool) (metricsTime, error) {
 	rp := sys.Mem.AllocStriped(m.Rows + 1)
 	ci := sys.Mem.AllocStriped(m.NNZ())
 	vv := sys.Mem.AllocStriped(m.NNZ())
-	loadX := makeXLoader(sys, xv, stripeX)
+	x := placeX(sys, xv, stripeX)
 	ya := sys.Mem.AllocLocal(0, m.Rows)
 	for r := 0; r <= m.Rows; r++ {
 		sys.Mem.Write(rp.At(r), uint64(m.RowPtr[r]))
@@ -220,35 +334,15 @@ func spmv1D(sys *machine.System, m *sparse.CSR, xv []float64, grainRows, nodelet
 		sys.Mem.Write(ci.At(k), uint64(m.ColIdx[k]))
 		sys.Mem.Write(vv.At(k), math.Float64bits(m.Val[k]))
 	}
-	var out metricsTime
-	out.y = ya
-	_, err := sys.Run(func(root *machine.Thread) {
-		t0 := root.Now()
-		cilk.ParallelFor(root, m.Rows, grainRows, func(w *machine.Thread, lo, hi int) {
-			for r := lo; r < hi; r++ {
-				kLo := w.Load(rp.At(r))     // migrates to nodelet r mod N
-				kHi := w.Load(rp.At(r + 1)) // and again for r+1
-				var sum float64
-				for k := kLo; k < kHi; k++ {
-					// ColIdx and Val share stripe indices, so the pair
-					// is one migration followed by a local load.
-					c := w.Load(ci.At(int(k)))
-					v := math.Float64frombits(w.Load(vv.At(int(k))))
-					x := loadX(w, int(c))
-					sum += v * x
-					w.Compute(spmvNNZCycles)
-				}
-				w.Store(ya.At(r), math.Float64bits(sum)) // posted to nodelet 0
-				w.Compute(spmvRowCycles)
-			}
-		})
-		out.t = root.Now() - t0
-	})
-	return out, err
+	t, err := runRows(sys, &spmvRows{ext: rp, ci: ci, vv: vv, x: &x, y: ya}, m.Rows, grainRows)
+	return metricsTime{t: t, y: ya}, err
 }
 
 // spmv2D runs the two-stage blocked layout: rows dealt round-robin, each
-// nodelet's shard contiguous, per-row (offset, length) metadata local.
+// nodelet's shard contiguous, per-row (offset, length) metadata local. The
+// root spawns one coordinator per populated nodelet, each running a ParFor
+// over its shard's slots; only the y stores leave the nodelet (posted to
+// nodelet 0).
 func spmv2D(sys *machine.System, m *sparse.CSR, xv []float64, grainRows, nodelets int, stripeX bool) (metricsTime, error) {
 	part := sparse.PartitionRows(m, nodelets)
 	// Shards need padding to the system's nodelet count.
@@ -261,7 +355,7 @@ func spmv2D(sys *machine.System, m *sparse.CSR, xv []float64, grainRows, nodelet
 	ci := sys.Mem.AllocBlocked(ciWords)
 	vv := sys.Mem.AllocBlocked(ciWords)
 	meta := sys.Mem.AllocBlocked(metaWords)
-	loadX := makeXLoader(sys, xv, stripeX)
+	x := placeX(sys, xv, stripeX)
 	ya := sys.Mem.AllocLocal(0, m.Rows)
 	for nl := 0; nl < nodelets; nl++ {
 		for slot, r := range part.RowsOf[nl] {
@@ -275,38 +369,15 @@ func spmv2D(sys *machine.System, m *sparse.CSR, xv []float64, grainRows, nodelet
 			}
 		}
 	}
-	var out metricsTime
-	out.y = ya
-	_, err := sys.Run(func(root *machine.Thread) {
-		t0 := root.Now()
-		for nl := 0; nl < nodelets; nl++ {
-			nl := nl
-			rows := part.RowsOf[nl]
-			if len(rows) == 0 {
-				continue
-			}
-			root.SpawnAt(nl, func(coord *machine.Thread) {
-				cilk.ParallelFor(coord, len(rows), grainRows, func(w *machine.Thread, lo, hi int) {
-					for slot := lo; slot < hi; slot++ {
-						r := rows[slot]
-						off := w.Load(meta.At(nl, 2*slot))
-						cnt := w.Load(meta.At(nl, 2*slot+1))
-						var sum float64
-						for j := uint64(0); j < cnt; j++ {
-							c := w.Load(ci.At(nl, int(off+j)))
-							v := math.Float64frombits(w.Load(vv.At(nl, int(off+j))))
-							x := loadX(w, int(c))
-							sum += v * x
-							w.Compute(spmvNNZCycles)
-						}
-						w.Store(ya.At(r), math.Float64bits(sum)) // posted to nodelet 0
-						w.Compute(spmvRowCycles)
-					}
-				})
-			})
+	coords := &spawnEach{n: nodelets, at: func(nl int) (int, machine.CBody) {
+		rows := part.RowsOf[nl]
+		if len(rows) == 0 {
+			return nl, nil
 		}
-		root.Sync()
-		out.t = root.Now() - t0
-	})
+		sh := &spmvRows{ext: meta.Chunk(nl), pairs: true, ci: ci.Chunk(nl), vv: vv.Chunk(nl), x: &x, y: ya, rows: rows}
+		return nl, cilk.NewParFor(len(rows), grainRows, sh.leaf)
+	}}
+	out := metricsTime{y: ya}
+	_, err := sys.RunCont(&timedRoot{drive: coords.drive, out: &out.t})
 	return out, err
 }

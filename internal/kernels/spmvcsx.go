@@ -68,7 +68,10 @@ func SpMVCSX(mcfg machine.Config, cfg SpMVCSXConfig, opts ...RunOption) (metrics
 	dsh := sys.Mem.AllocBlocked(deltaWords)
 	vsh := sys.Mem.AllocBlocked(valWords)
 	meta := sys.Mem.AllocBlocked(metaWords)
-	loadX := makeXLoader(sys, xv, false)
+	xs := placeX(sys, xv, false)
+	loadX := func(w *machine.Thread, c int) float64 {
+		return math.Float64frombits(w.Load(xs.at(w.Nodelet(), c)))
+	}
 	ya := sys.Mem.AllocLocal(0, m.Rows)
 
 	dOff := make([]int, nodelets)

@@ -424,6 +424,33 @@ func (t *CThread) CStore(a memsys.Addr, v uint64) (parked bool) {
 	return false
 }
 
+// CRemoteAdd posts an atomic add to the word at a — Thread.RemoteAdd: the
+// home nodelet's memory-side processor holds its channel for two word
+// times, and the thread never migrates. As with a posted store, every effect
+// lands at issue time; only the backpressure sleep can park.
+//
+//emu:nohandoff
+func (t *CThread) CRemoteAdd(a memsys.Addr, delta uint64) (parked bool) {
+	s := t.sys
+	home := a.Nodelet()
+	nl := s.nodelets[t.nodelet]
+	_, issued := nl.cores[t.core].Acquire(t.p.Now(), s.clock.Cycles(s.Cfg.MemIssueCycles))
+	arrive := issued
+	if home != t.nodelet {
+		arrive += s.flightLatency(t.nodelet, home)
+	}
+	_, served := s.nodelets[home].channel.Acquire(arrive, 2*s.Cfg.WordAccessTime)
+	s.Counters.atomics[home]++
+	s.emit(TraceAtomic, t.nodelet, home, a, issued, served)
+	s.Mem.Write(a, s.Mem.Read(a)+delta)
+	t.op = opDelay
+	if t.p.SleepUntil(s.postedAccept(issued, served)) {
+		return true
+	}
+	t.op = opNone
+	return false
+}
+
 // CMigrateTo moves the threadlet's context to the target nodelet —
 // Thread.MigrateTo. Migrating to the current nodelet is a no-op.
 //

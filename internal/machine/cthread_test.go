@@ -375,3 +375,105 @@ func TestRunContFunctionalResults(t *testing.T) {
 		t.Fatalf("remote store: continuation wrote %d, goroutine %d", got, want)
 	}
 }
+
+// ctAdder posts n atomic adds over a striped table, one per slot in turn,
+// with a little compute between them.
+type ctAdder struct {
+	table memsys.Striped
+	first int
+	n, i  int
+	pc    int
+}
+
+func (b *ctAdder) Step(t *CThread) bool {
+	for b.i < b.n {
+		switch b.pc {
+		case 0:
+			b.pc = 1
+			if t.CRemoteAdd(b.table.At((b.first+b.i)%b.table.Len()), uint64(b.i+1)) {
+				return false
+			}
+		case 1:
+			b.pc = 0
+			b.i++
+			if t.CCompute(2) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// ctAdderRoot spawns fan adders round-robin across the nodelets.
+type ctAdderRoot struct {
+	table   memsys.Striped
+	fan, n  int
+	next    int
+	targets int
+}
+
+func (b *ctAdderRoot) Step(t *CThread) bool {
+	for b.next < b.fan {
+		k := b.next
+		b.next++
+		if t.CSpawnAt(k%t.System().Nodelets(), &ctAdder{table: b.table, first: k * 7, n: b.n}) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestContThreadMatchesGoroutineRemoteAdd drives CRemoteAdd against
+// Thread.RemoteAdd on a two-node machine: local and remote homes, the
+// inter-node flight, and enough adders aimed at a small table that the
+// posted-queue backpressure sleep parks. Times, counters and traces must
+// agree, and both engines must leave the same sums in memory.
+func TestContThreadMatchesGoroutineRemoteAdd(t *testing.T) {
+	const fan, n, words = 48, 40, 24
+	var tables [2]memsys.Striped
+	var systems [2]*System
+	var backpressured [2]int
+	run := 0
+	runEngines(t, FullSpeed(2), nil, func(s *System) (func(*Thread), CBody) {
+		table := s.Mem.AllocStriped(words)
+		tables[run], systems[run] = table, s
+		r := run
+		bound := sim.Time(remoteQueueEntries) * s.Cfg.WordAccessTime
+		s.Attach(trace.Tee(s.Observer(), trace.FuncObserver{OnEvent: func(e trace.Event) {
+			if e.Kind == trace.KindAtomic && e.End-e.Time > bound {
+				backpressured[r]++
+			}
+		}}))
+		run++
+		g := func(th *Thread) {
+			for k := 0; k < fan; k++ {
+				k := k
+				th.SpawnAt(k%th.System().Nodelets(), func(c *Thread) {
+					for i := 0; i < n; i++ {
+						c.RemoteAdd(table.At((k*7+i)%words), uint64(i+1))
+						c.Compute(2)
+					}
+				})
+			}
+		}
+		return g, &ctAdderRoot{table: table, fan: fan, n: n}
+	})
+	var total uint64
+	for w := 0; w < words; w++ {
+		g, c := systems[0].Mem.Read(tables[0].At(w)), systems[1].Mem.Read(tables[1].At(w))
+		if g != c {
+			t.Fatalf("slot %d: goroutine sum %d, continuation sum %d", w, g, c)
+		}
+		total += c
+	}
+	if want := uint64(fan * n * (n + 1) / 2); total != want {
+		t.Fatalf("table sums to %d, want %d", total, want)
+	}
+	if atomics := sum(systems[1].Counters.atomics); atomics != fan*n {
+		t.Fatalf("continuation run counted %d atomics, want %d", atomics, fan*n)
+	}
+	if backpressured[0] == 0 || backpressured[0] != backpressured[1] {
+		t.Fatalf("adds past the posted-queue bound: goroutine %d, continuation %d; want equal and nonzero",
+			backpressured[0], backpressured[1])
+	}
+}
